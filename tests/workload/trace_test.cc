@@ -7,6 +7,9 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string>
+
+#include <unistd.h>
 
 #include "workload/microbench.hh"
 #include "workload/spec2000.hh"
@@ -22,7 +25,14 @@ class TraceTest : public ::testing::Test
   protected:
     TraceTest()
     {
-        path = testing::TempDir() + "vpc_trace_test.txt";
+        // ctest runs each case as its own process, possibly at the
+        // same time: name the file after the test and the pid so no
+        // two cases share it.
+        path = testing::TempDir() + "vpc_trace_" +
+               testing::UnitTest::GetInstance()
+                   ->current_test_info()
+                   ->name() +
+               "_" + std::to_string(::getpid()) + ".txt";
     }
 
     ~TraceTest() override { std::remove(path.c_str()); }
