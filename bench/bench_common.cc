@@ -60,13 +60,6 @@ BenchReporter::setRunCacheStats(const RunCache &cache)
 }
 
 void
-BenchReporter::setKernelThreads(unsigned kt)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    kernelThreads_ = kt < 1 ? 1 : kt;
-}
-
-void
 BenchReporter::setQuick(bool quick)
 {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -222,7 +215,6 @@ BenchReporter::writeJson(const std::string &path) const
                  "  \"wall_ms\": %.1f,\n"
                  "  \"runs\": %llu,\n"
                  "  \"sim_cycles\": %llu,\n"
-                 "  \"kernel_threads\": %u,\n"
                  "  \"mcycles_per_sec\": %.3f,\n"
                  "  \"cycles_executed\": %llu,\n"
                  "  \"cycles_skipped\": %llu,\n"
@@ -247,7 +239,6 @@ BenchReporter::writeJson(const std::string &path) const
                  name_.c_str(), wallMs(),
                  static_cast<unsigned long long>(runs_),
                  static_cast<unsigned long long>(simCycles_),
-                 kernelThreads_,
                  mcyclesPerSec(),
                  static_cast<unsigned long long>(cyclesExecuted_),
                  static_cast<unsigned long long>(cyclesSkipped_),

@@ -102,18 +102,10 @@ class BenchReporter
     void setRunCacheStats(const RunCache &cache);
 
     /**
-     * Record the kernel thread count the bench ran with.  Written as
-     * the JSON's "kernel_threads" field so before/after comparisons
-     * (tools/bench_diff) can tell a kernel-configuration change from
-     * a simulator speed change.  Defaults to 1 (the serial kernel).
-     */
-    void setKernelThreads(unsigned kt);
-
-    /**
      * Attach a bench-specific JSON section.  @p raw_json must be a
      * complete JSON value (object or array); it is emitted verbatim
      * under @p key at the top level of the report.  bench_scaleup
-     * uses this for its per-cell wall-time matrix.
+     * uses this for its per-size wall times.
      */
     void setExtraSection(std::string key, std::string raw_json);
 
@@ -191,7 +183,6 @@ class BenchReporter
     std::uint64_t eventsFired_ = 0;
     Profiler profile_;       //!< merged across addProfile() calls
     bool haveProfile_ = false;
-    unsigned kernelThreads_ = 1;
     bool quick_ = false;
     std::string extraKey_;   //!< see setExtraSection()
     std::string extraJson_;

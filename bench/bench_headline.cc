@@ -29,11 +29,11 @@
  * Flags:
  *   --smoke       2 mixes, short runs, --paranoid auditing + watchdog
  *                 (serial: auditors install process-global hooks;
- *                 rejects explicit --threads/--kernel-threads > 1)
+ *                 rejects an explicit --threads > 1)
  *   --quick       2 mixes, short runs, no auditors -- the bounded mode
- *                 that still accepts --kernel-threads > 1, so CI can
- *                 smoke the shard-parallel kernel under TSan without
- *                 paying for the full mix set
+ *                 that still accepts --threads > 1, so CI can run the
+ *                 sweep thread pool and the run cache's in-flight
+ *                 dedup under TSan without paying for the full mix set
  *   --profile     attach the cycle-attribution profiler to every
  *                 simulation; the merged per-component table goes to
  *                 stderr and into the JSON's "profile" section
@@ -41,9 +41,6 @@
  *   --no-skip     run the naive kernel loop in every simulation
  *   --serial      one worker thread
  *   --threads=N   N sweep worker threads (default: auto)
- *   --kernel-threads=N  run every simulation on the shard-parallel
- *                 kernel with N workers (default 1: serial kernel);
- *                 stdout is bit-identical either way (DESIGN.md 5d)
  *   --run-cache=DIR  persist run records in DIR and replay them on
  *                 reruns (hit/miss counts go to stderr and the JSON)
  *   --json=PATH   JSON report path (default BENCH_headline.json)
@@ -79,7 +76,6 @@ struct BenchOptions
     bool skip = true;
     bool profile = false;
     unsigned threads = 0;
-    unsigned kernelThreads = 1;
     std::string jsonPath;
     std::string runCacheDir;
     RunLengths lens{kWarmup, kMeasure};
@@ -101,7 +97,6 @@ runMix(const Mix &mix, ArbiterPolicy policy, const BenchOptions &opt,
     RunJob job;
     job.config = makeBaselineConfig(4, policy);
     job.config.kernelSkip = opt.skip;
-    job.config.kernelThreads = opt.kernelThreads;
     job.config.profile = opt.profile;
     if (opt.smoke) {
         job.config.verify.paranoid = 1;
@@ -137,9 +132,6 @@ main(int argc, char **argv)
         } else if (std::strncmp(arg, "--threads=", 10) == 0) {
             opt.threads = static_cast<unsigned>(
                 std::strtoul(arg + 10, nullptr, 10));
-        } else if (std::strncmp(arg, "--kernel-threads=", 17) == 0) {
-            opt.kernelThreads = static_cast<unsigned>(
-                std::strtoul(arg + 17, nullptr, 10));
         } else if (std::strncmp(arg, "--run-cache=", 12) == 0) {
             opt.runCacheDir = arg + 12;
         } else if (std::strncmp(arg, "--json=", 7) == 0) {
@@ -169,33 +161,29 @@ main(int argc, char **argv)
     };
     if (opt.smoke) {
         // Auditors register process-global panic-dump hooks; audited
-        // jobs must stay off the thread pool (see system/sweep.hh)
-        // and on the serial kernel (the sharded kernel excludes
-        // them).  Reject an explicit conflicting request instead of
-        // silently overriding it.
-        if (opt.threads > 1 || opt.kernelThreads > 1) {
+        // jobs must stay off the thread pool (see system/sweep.hh).
+        // Reject an explicit conflicting request instead of silently
+        // overriding it.
+        if (opt.threads > 1) {
             std::fprintf(stderr,
                          "bench_headline: --smoke runs paranoid "
                          "auditors with process-global state and is "
-                         "strictly serial; drop --threads/"
-                         "--kernel-threads > 1\n");
+                         "strictly serial; drop --threads > 1\n");
             return 1;
         }
         mixes.resize(2);
         opt.lens = RunLengths{2'000, 8'000};
         opt.threads = 1;
-        opt.kernelThreads = 1;
     } else if (opt.quick) {
         // Same bound as --smoke but without the auditors, so any
-        // --threads/--kernel-threads combination is fair game (this
-        // is the TSan CI entry point for the shard-parallel kernel).
+        // --threads count is fair game (this is the TSan CI entry
+        // point for the sweep thread pool).
         mixes.resize(2);
         opt.lens = RunLengths{2'000, 8'000};
     }
 
     SystemConfig base = makeBaselineConfig(4, ArbiterPolicy::Vpc);
     base.kernelSkip = opt.skip;
-    base.kernelThreads = opt.kernelThreads;
     base.profile = opt.profile;
     if (opt.smoke) {
         base.verify.paranoid = 1;
@@ -204,7 +192,6 @@ main(int argc, char **argv)
 
     BenchReporter rep(opt.smoke ? "headline_smoke"
                       : opt.quick ? "headline_quick" : "headline");
-    rep.setKernelThreads(opt.kernelThreads);
     // Stamp reduced-scale rows so bench_diff never wall-gates a
     // quick row against a full one (--smoke already writes under a
     // different bench name; --quick shares "headline_quick" but the

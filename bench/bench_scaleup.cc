@@ -1,25 +1,22 @@
 /**
  * @file
- * Big-CMP scale-up sweep: kernel threads x machine size.
+ * Big-CMP scale-up sweep over machine size.
  *
  * Runs the scaled Table 1 machine (makeScaledCmpConfig: 8/16/32
  * processors, one 8 MB L2 bank per two processors, interconnect
- * deepened with size) under the serial kernel and under the
- * shard-parallel kernel at several worker counts, and checks the
- * determinism contract on every cell: the measured model statistics
- * must be bit-identical to the serial reference for the same machine.
+ * deepened with size) one size after another, so each row's wall time
+ * is the cost of simulating that machine on one host core.
  *
- * stdout carries only model-derived results (the per-size table and
- * the identity verdicts), so it is byte-identical for any kernel
- * thread count and any host.  Wall-clock numbers go to stderr and
- * into BENCH_scaleup.json: the "scaleup" section holds one row per
- * (processors, kernel_threads) cell, and the standard machine block
- * records the host they were measured on (tools/bench_diff refuses to
- * compare wall times across different machines).
+ * stdout carries only model-derived results (the per-size table), so
+ * it is byte-identical on any host.  Wall-clock numbers go to stderr
+ * and into BENCH_scaleup.json: the "scaleup" section holds one row per
+ * machine size, and the standard machine block records the host they
+ * were measured on (tools/bench_diff refuses to compare wall times
+ * across different machines).
  *
  * Flags:
- *   --smoke       2 sizes x 2 kernel-thread counts, short runs
- *                 (bounded enough for tier-1 CI)
+ *   --smoke       8 and 16 processors, short runs (bounded enough for
+ *                 tier-1 CI)
  *   --profile     attach the cycle-attribution profiler to every
  *                 simulation; the merged table lands in the JSON
  *   --json=PATH   JSON report path (default BENCH_scaleup.json)
@@ -42,11 +39,10 @@ using namespace vpc;
 namespace
 {
 
-/** One measured sweep cell. */
+/** One measured machine size. */
 struct Cell
 {
     unsigned procs = 0;
-    unsigned kernelThreads = 0;
     double wallMs = 0.0;
     RunRecord record;
 };
@@ -56,12 +52,10 @@ const char *const kSpecs[] = {"art",  "mcf",    "mesa", "crafty",
                               "gzip", "swim",   "vpr",  "gcc"};
 
 RunJob
-makeJob(unsigned procs, unsigned kernel_threads, bool profile,
-        const RunLengths &lens)
+makeJob(unsigned procs, bool profile, const RunLengths &lens)
 {
     RunJob job;
     job.config = makeScaledCmpConfig(procs, ArbiterPolicy::Vpc);
-    job.config.kernelThreads = kernel_threads;
     job.config.profile = profile;
     for (unsigned t = 0; t < procs; ++t) {
         job.workloads.push_back(benchWorkloadKey(
@@ -70,20 +64,6 @@ makeJob(unsigned procs, unsigned kernel_threads, bool profile,
     job.warmup = lens.warmup;
     job.measure = lens.measure;
     return job;
-}
-
-/** @return true when two records carry bit-identical model results. */
-bool
-sameRecord(const RunRecord &a, const RunRecord &b)
-{
-    const IntervalStats &x = a.stats;
-    const IntervalStats &y = b.stats;
-    return a.endCycle == b.endCycle && x.cycles == y.cycles &&
-           x.ipc == y.ipc && x.instrs == y.instrs &&
-           x.l2Reads == y.l2Reads && x.l2Writes == y.l2Writes &&
-           x.l2Misses == y.l2Misses && x.sgbStores == y.sgbStores &&
-           x.sgbGathered == y.sgbGathered && x.tagUtil == y.tagUtil &&
-           x.dataUtil == y.dataUtil && x.busUtil == y.busUtil;
 }
 
 } // namespace
@@ -111,104 +91,67 @@ main(int argc, char **argv)
     std::vector<unsigned> sizes = smoke
         ? std::vector<unsigned>{8, 16}
         : std::vector<unsigned>{8, 16, 32};
-    std::vector<unsigned> kts = smoke
-        ? std::vector<unsigned>{1, 2}
-        : std::vector<unsigned>{1, 2, 4, 8};
     const RunLengths lens = smoke ? RunLengths{2'000, 6'000}
                                   : RunLengths{20'000, 80'000};
 
     BenchReporter rep(smoke ? "scaleup_smoke" : "scaleup");
-    rep.setKernelThreads(kts.back());
 
     std::vector<Cell> cells;
-    bool allIdentical = true;
     for (unsigned procs : sizes) {
-        const std::size_t refIdx = cells.size();
-        for (unsigned kt : kts) {
-            RunJob job = makeJob(procs, kt, profile, lens);
-            auto t0 = std::chrono::steady_clock::now();
-            RunResult r = runAndMeasureCached(job, nullptr);
-            auto t1 = std::chrono::steady_clock::now();
-            Cell cell;
-            cell.procs = procs;
-            cell.kernelThreads = kt;
-            cell.wallMs =
-                std::chrono::duration<double, std::milli>(t1 - t0)
-                    .count();
-            cell.record = r.record;
-            rep.addRun(r.record.endCycle, r.record.kernel);
-            if (r.hasProfile)
-                rep.addProfile(r.profile);
-            cells.push_back(std::move(cell));
-            if (cells.size() - 1 != refIdx &&
-                !sameRecord(cells[refIdx].record,
-                            cells.back().record)) {
-                allIdentical = false;
-                std::printf("DETERMINISM VIOLATION: %u processors, "
-                            "%u kernel threads diverged from the "
-                            "serial reference\n", procs, kt);
-            }
-        }
+        RunJob job = makeJob(procs, profile, lens);
+        auto t0 = std::chrono::steady_clock::now();
+        RunResult r = runAndMeasureCached(job, nullptr);
+        auto t1 = std::chrono::steady_clock::now();
+        Cell cell;
+        cell.procs = procs;
+        cell.wallMs =
+            std::chrono::duration<double, std::milli>(t1 - t0).count();
+        cell.record = r.record;
+        rep.addRun(r.record.endCycle, r.record.kernel);
+        if (r.hasProfile)
+            rep.addProfile(r.profile);
+        cells.push_back(std::move(cell));
     }
     rep.finish();
 
-    // stdout: model results only (identical for every kernel-thread
-    // count and every host).  One row per machine size, from the
-    // serial reference cell.
+    // stdout: model results only (identical on every host).
     TablePrinter t("Scale-up: big-CMP machines under VPC (equal "
                    "shares), model results",
                    {"Procs", "Banks", "Agg IPC", "L2 misses",
-                    "Bus util", "Kernel-thread identity"},
+                    "Bus util"},
                    12);
-    std::size_t idx = 0;
-    for (unsigned procs : sizes) {
-        const Cell &ref = cells[idx];
+    for (const Cell &c : cells) {
         double aggIpc = 0.0;
         std::uint64_t misses = 0;
-        for (double v : ref.record.stats.ipc)
+        for (double v : c.record.stats.ipc)
             aggIpc += v;
-        for (std::uint64_t v : ref.record.stats.l2Misses)
+        for (std::uint64_t v : c.record.stats.l2Misses)
             misses += v;
-        bool sizeIdentical = true;
-        for (std::size_t k = 1; k < kts.size(); ++k) {
-            if (!sameRecord(ref.record, cells[idx + k].record))
-                sizeIdentical = false;
-        }
-        t.row({std::to_string(procs), std::to_string(procs / 2),
-               TablePrinter::num(aggIpc),
-               std::to_string(misses),
-               TablePrinter::num(ref.record.stats.busUtil),
-               sizeIdentical ? "identical" : "DIVERGED"});
-        idx += kts.size();
+        t.row({std::to_string(c.procs), std::to_string(c.procs / 2),
+               TablePrinter::num(aggIpc), std::to_string(misses),
+               TablePrinter::num(c.record.stats.busUtil)});
     }
     t.rule();
-    std::printf("model statistics %s across kernel threads {",
-                allIdentical ? "bit-identical" : "DIVERGED");
-    for (std::size_t k = 0; k < kts.size(); ++k)
-        std::printf("%s%u", k ? ", " : "", kts[k]);
-    std::printf("}\n");
 
-    // stderr + JSON: the wall-time matrix (host-dependent).
+    // stderr + JSON: the wall times (host-dependent).
     std::string rows = "[";
     for (std::size_t i = 0; i < cells.size(); ++i) {
         const Cell &c = cells[i];
-        char buf[160];
+        char buf[128];
         std::snprintf(buf, sizeof buf,
-                      "%s\n    {\"procs\": %u, \"kernel_threads\": %u, "
-                      "\"wall_ms\": %.1f, \"sim_cycles\": %llu}",
-                      i ? "," : "", c.procs, c.kernelThreads, c.wallMs,
+                      "%s\n    {\"procs\": %u, \"wall_ms\": %.1f, "
+                      "\"sim_cycles\": %llu}",
+                      i ? "," : "", c.procs, c.wallMs,
                       static_cast<unsigned long long>(
                           c.record.endCycle));
         rows += buf;
-        std::fprintf(stderr,
-                     "scaleup: %2u procs, %u kernel threads: %7.1f ms "
-                     "wall\n",
-                     c.procs, c.kernelThreads, c.wallMs);
+        std::fprintf(stderr, "scaleup: %2u procs: %7.1f ms wall\n",
+                     c.procs, c.wallMs);
     }
     rows += "\n  ]";
     rep.setExtraSection("scaleup", rows);
 
     rep.printSummary();
     rep.writeJson(jsonPath);
-    return allIdentical ? 0 : 1;
+    return 0;
 }

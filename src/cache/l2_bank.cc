@@ -117,9 +117,7 @@ L2Bank::L2Bank(const SystemConfig &cfg_, unsigned bank_index,
             // beat 2 = 16 cycles, matching Figure 4.
             Sm &sm = sms.at(req.id);
             Cycle critical = start + cfg.l2.busBeatCycles;
-            if (fillPort) {
-                fillPort(sm.thread, sm.lineAddr, critical);
-            } else if (respLane != nullptr) {
+            if (respLane != nullptr) {
                 respLane->push(critical, events.profileContext(),
                                RespMsg{this, sm.thread, sm.lineAddr});
             } else {
@@ -141,12 +139,6 @@ L2Bank::setResponseHandler(ResponseHandler h)
     respond = std::move(h);
 }
 
-void
-L2Bank::setFillPort(FillPort p)
-{
-    fillPort = std::move(p);
-}
-
 bool
 L2Bank::tryReserveStore(ThreadId t)
 {
@@ -159,16 +151,7 @@ L2Bank::tryReserveStore(ThreadId t)
 void
 L2Bank::storeArrive(ThreadId t, Addr line_addr, Cycle now)
 {
-    if (!sgbs.at(t).addStore(line_addr, now))
-        ++sgbOccVersion_; // new entry: occupancy grew
-}
-
-void
-L2Bank::remoteStoreArrive(ThreadId t, Addr line_addr, Cycle now)
-{
-    sgbs.at(t).reserve();
-    if (!sgbs[t].addStore(line_addr, now))
-        ++sgbOccVersion_;
+    sgbs.at(t).addStore(line_addr, now);
 }
 
 void
@@ -281,7 +264,6 @@ L2Bank::tryAdmit(ThreadId t, Cycle now)
 
     if (is_write) {
         sgb.popRetire();
-        ++sgbOccVersion_;
         port.writes.inc();
     } else {
         port.loadQueue.pop_front();

@@ -62,14 +62,6 @@ class L2Bank
         std::function<void(ThreadId t, Addr line_addr)>;
 
     /**
-     * Shard-parallel substitute for the response event: hands the
-     * critical-word cycle to the kernel, which delivers it on the
-     * requesting core's own queue.  Called from bank tick context.
-     */
-    using FillPort =
-        std::function<void(ThreadId t, Addr line_addr, Cycle critical)>;
-
-    /**
      * @param cfg full system configuration (L2 + QoS shares)
      * @param bank_index this bank's index
      * @param num_banks total banks (for set sizing)
@@ -84,19 +76,14 @@ class L2Bank
     /** Install the load-response path back to the cores. */
     void setResponseHandler(ResponseHandler h);
 
-    /** Install the shard-parallel fill path (nullptr to remove). */
-    void setFillPort(FillPort p);
-
     /**
-     * @name Fused serial response lane
+     * @name Fused response lane
      *
      * The critical word always trails the bus grant by exactly
      * busBeatCycles and the response handler is a pure L1/core-state
      * write, so the lane replays the event path exactly from plain
-     * (bank, thread, line) records — no closure.  Counted: the
-     * sharded kernel delivers these as real fill events.  Serial
-     * kernel only — with a fill port installed the lane is never
-     * consulted.
+     * (bank, thread, line) records — no closure.  Counted: drains add
+     * to eventsFired as the response events they replace would.
      */
     /// @{
     struct RespMsg
@@ -137,15 +124,6 @@ class L2Bank
 
     /** Deliver a store that completed crossbar transit. */
     void storeArrive(ThreadId t, Addr line_addr, Cycle now);
-
-    /**
-     * Deliver a store sent by a remote core shard: the admission
-     * check already happened at the sender against its occupancy
-     * view, so this reserves and delivers in one step (net-zero
-     * reservations — occupancy evolves exactly as in the serial
-     * reserve-then-arrive split).
-     */
-    void remoteStoreArrive(ThreadId t, Addr line_addr, Cycle now);
 
     /** Deliver a load that completed crossbar transit. */
     void loadArrive(ThreadId t, Addr line_addr, Cycle now,
@@ -190,14 +168,6 @@ class L2Bank
 
     /** @return thread @p t's store gathering buffer. */
     const StoreGatherBuffer &sgb(ThreadId t) const { return sgbs.at(t); }
-
-    /**
-     * Monotonic counter bumped whenever any thread's SGB occupancy
-     * changes.  Lets the sharded kernel's occupancy-snapshot hook
-     * skip its per-thread probe pass when nothing moved, instead of
-     * probing every (thread, bank) pair twice per uncore cycle.
-     */
-    std::uint64_t sgbOccVersion() const { return sgbOccVersion_; }
 
     /** @return L2 read requests admitted for thread @p t. */
     std::uint64_t readCount(ThreadId t) const;
@@ -300,7 +270,6 @@ class L2Bank
 
     CacheArray tags;
     std::vector<StoreGatherBuffer> sgbs;
-    std::uint64_t sgbOccVersion_ = 1; //!< see sgbOccVersion()
     std::vector<ThreadPort> ports;
     std::vector<Sm> sms;
     std::vector<unsigned> smsInUse; //!< per-thread active SM count
@@ -323,8 +292,7 @@ class L2Bank
     ThreadId admissionRR = 0;
     SeqNum nextSeq = 0;
     ResponseHandler respond;
-    FillPort fillPort;
-    ResponseLane *respLane = nullptr; //!< fused serial response path
+    ResponseLane *respLane = nullptr; //!< fused response path
 };
 
 } // namespace vpc

@@ -9,8 +9,7 @@ namespace vpc
 
 L2Cache::L2Cache(const SystemConfig &cfg_, EventQueue &events_,
                  MemoryController &mem)
-    : cfg(cfg_), events(events_),
-      corePorts(cfg_.numProcessors, nullptr)
+    : cfg(cfg_), events(events_)
 {
     banks.reserve(cfg.l2.banks);
     for (unsigned b = 0; b < cfg.l2.banks; ++b) {
@@ -30,19 +29,6 @@ L2Cache::setResponseHandler(ResponseHandler h)
     }
 }
 
-void
-L2Cache::setCorePort(ThreadId t, L2CorePort *port)
-{
-    corePorts.at(t) = port;
-}
-
-void
-L2Cache::setFillPort(L2Bank::FillPort p)
-{
-    for (auto &bank : banks)
-        bank->setFillPort(p);
-}
-
 unsigned
 L2Cache::bankOf(Addr addr) const
 {
@@ -54,8 +40,6 @@ bool
 L2Cache::store(ThreadId t, Addr addr, Cycle now)
 {
     Addr line = lineAlign(addr, cfg.l2.lineBytes);
-    if (corePorts[t] != nullptr)
-        return corePorts[t]->store(line, bankOf(addr), now);
     L2Bank &bank = *banks[bankOf(addr)];
     if (!bank.tryReserveStore(t))
         return false;
@@ -76,10 +60,6 @@ void
 L2Cache::load(ThreadId t, Addr addr, Cycle now, bool prefetch)
 {
     Addr line = lineAlign(addr, cfg.l2.lineBytes);
-    if (corePorts[t] != nullptr) {
-        corePorts[t]->load(line, bankOf(addr), now, prefetch);
-        return;
-    }
     L2Bank &bank = *banks[bankOf(addr)];
     Cycle arrive = now + cfg.l2.interconnectLatency;
     if (transitLane != nullptr) {

@@ -23,29 +23,6 @@
 namespace vpc
 {
 
-/**
- * Core-side interception point for the shard-parallel kernel.
- *
- * When a port is installed for a thread, L2Cache::store()/load() route
- * through it instead of touching bank state, so the calling core never
- * reads or writes uncore-owned structures.  The port (implemented by
- * the system layer) performs the admission check against its local
- * occupancy view and forwards the request across the shard boundary.
- * Addresses arrive line-aligned with the target bank precomputed.
- */
-class L2CorePort
-{
-  public:
-    virtual ~L2CorePort() = default;
-
-    /** Mirror of L2Cache::store(); @return false to stall the core. */
-    virtual bool store(Addr line_addr, unsigned bank, Cycle now) = 0;
-
-    /** Mirror of L2Cache::load(). */
-    virtual void load(Addr line_addr, unsigned bank, Cycle now,
-                      bool prefetch) = 0;
-};
-
 /** Shared L2: crossbar front-end plus address-interleaved banks. */
 class L2Cache : public Ticking
 {
@@ -66,29 +43,13 @@ class L2Cache : public Ticking
     void setResponseHandler(ResponseHandler h);
 
     /**
-     * Install thread @p t's core-side port (nullptr to remove).  Used
-     * only by the shard-parallel kernel; without a port the serial
-     * direct path is taken.
-     */
-    void setCorePort(ThreadId t, L2CorePort *port);
-
-    /**
-     * Route every bank's critical-word delivery through @p p instead
-     * of scheduling a response event on the (serial) queue.  Shard-
-     * parallel kernel only.
-     */
-    void setFillPort(L2Bank::FillPort p);
-
-    /**
-     * @name Fused serial crossbar transit lane
+     * @name Fused crossbar transit lane
      *
      * The crossbar latency is a configuration constant and arrivals
      * are pure bank-queue writes consumed by later bank ticks, so the
      * lane replays the event path exactly from plain (bank, line,
-     * thread, kind) records — no closure.  Counted: the sharded
-     * kernel fires these as real cross-shard events, and eventsFired
-     * must agree between kernels.  Serial kernel only — with core
-     * ports installed the lane is never consulted.
+     * thread, kind) records — no closure.  Counted: drains add to
+     * eventsFired as the transit events they replace would.
      */
     /// @{
     struct TransitMsg
@@ -177,8 +138,7 @@ class L2Cache : public Ticking
     const SystemConfig &cfg;
     EventQueue &events;
     std::vector<std::unique_ptr<L2Bank>> banks;
-    std::vector<L2CorePort *> corePorts;
-    TransitLane *transitLane = nullptr; //!< fused serial crossbar
+    TransitLane *transitLane = nullptr; //!< fused crossbar transit
 };
 
 } // namespace vpc

@@ -99,8 +99,8 @@ class Cpu : public Ticking
      *
      * The hit hop is (constant hitLatency, one SeqNum to complete) —
      * pure data, no closure.  The system builder registers hitChain()
-     * with the owning kernel (serial addFusedChain / sharded
-     * addCoreChain on this core's shard) and flips setHitFused(true);
+     * with the kernel (Simulator::addFusedChain) and flips
+     * setHitFused(true);
      * issueStage then pushes (due, seq) records instead of scheduling
      * an event, and the kernel's drain completes them the cycle the
      * event would have fired.  Left unfused (unit tests, VPC_NO_FUSE)

@@ -1,6 +1,6 @@
 /**
  * @file
- * Cooperative job cancellation for the simulation kernels.
+ * Cooperative job cancellation for the simulation kernel.
  *
  * The sweep daemon (src/service/) must bound the wall-clock time of
  * every job it runs, yet a simulation is a deterministic closed loop
@@ -10,8 +10,8 @@
  *  - a cancel token is a plain `std::atomic<bool>` owned by the
  *    supervisor (the daemon's deadline monitor).  The owner sets it;
  *    it never clears it mid-run;
- *  - the kernels (Simulator::run, ShardedSimulator's worker loops) and
- *    the wall-deadline Watchdog poll the token at loop granularity and
+ *  - the kernel (Simulator::run) and the wall-deadline Watchdog poll
+ *    the token at loop granularity and
  *    unwind by throwing JobCancelled, which is catchable — unlike
  *    vpc_panic — because an over-deadline job is an operational event,
  *    not a simulator bug;
@@ -35,7 +35,7 @@
 namespace vpc
 {
 
-/** Thrown by the kernels when the installed cancel token is set. */
+/** Thrown by the kernel when the installed cancel token is set. */
 class JobCancelled : public std::runtime_error
 {
   public:

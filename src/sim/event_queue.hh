@@ -5,9 +5,8 @@
  * The simulator is cycle-stepped (see Simulator), but several models
  * need "call me back in N cycles" semantics: DRAM access completion,
  * crossbar transit, data-bus beat completion.  Events scheduled for the
- * same cycle fire in a deterministic key order (insertion order for the
- * sequential kernel; see sim/sched_key.hh for the shard-parallel
- * generalization), which keeps runs reproducible.
+ * same cycle fire in insertion order — entries order by (when, seq) —
+ * which keeps runs reproducible.
  *
  * Pending-set design: a two-level hierarchical timing wheel with a
  * heap overflow.  Nearly every event in the machine is short-delay
@@ -19,7 +18,7 @@
  * their block.  Anything beyond ~65k cycles ahead (rare: watchdog-ish
  * timeouts, tests) sits in a min-heap and cascades into the wheel as
  * its horizon approaches.  Slots are unsorted vectors; a slot is
- * key-sorted once, when it fires.  Occupancy bitmaps make
+ * sorted by sequence once, when it fires.  Occupancy bitmaps make
  * nextEventCycle() a handful of word scans, cheap enough for the
  * quiescence fast-forward to call every executed cycle.
  *
@@ -47,13 +46,12 @@
 
 #include "sim/logging.hh"
 #include "sim/profiler.hh"
-#include "sim/sched_key.hh"
 #include "sim/types.hh"
 
 namespace vpc
 {
 
-/** Orders events by SchedKey (sequential use: cycle, insertion seq). */
+/** Orders events by (cycle, insertion sequence). */
 class EventQueue
 {
   public:
@@ -91,8 +89,7 @@ class EventQueue
 
     /**
      * Schedule a callable to run at cycle @p when, ordered among
-     * same-cycle events by insertion sequence (or, with a key source
-     * installed, by the shard-parallel composite key).
+     * same-cycle events by insertion sequence.
      *
      * The callable is moved into pooled inline storage; captures up to
      * kInlineBytes cost no allocation.
@@ -104,45 +101,18 @@ class EventQueue
     void
     schedule(Cycle when, F &&cb)
     {
-        scheduleKeyed(makeKey(when), std::forward<F>(cb));
+        if (when < lastRun_)
+            vpc_panic("event scheduled in the past ({} < {})", when,
+                      lastRun_);
+        Node *node = makeNode(std::forward<F>(cb));
+        place(Entry{when, nextSeq_++, node});
+        ++live_;
+        // Keep the next-event cache exact while it is valid; a dirty
+        // cache must stay dirty (min-updating an unknown value could
+        // hide an earlier pending event from the fast-forward).
+        if (!cacheDirty_ && when < cachedNext_)
+            cachedNext_ = when;
     }
-
-    /**
-     * Build the ordering key the next schedule(when, ...) call from
-     * the current context would use, consuming a sequence number.  The
-     * sharded kernel uses this to stamp cross-shard messages at the
-     * sender and replay them on the receiving shard's queue under
-     * scheduleKeyed() — reproducing the order the sequential kernel
-     * would have assigned.
-     */
-    SchedKey
-    makeKey(Cycle when)
-    {
-        SchedKey key;
-        key.when = when;
-        if (keySrc_ != nullptr) {
-            key.schedCycle = keySrc_->now;
-            if (firing_ != nullptr) {
-                key.phase =
-                    static_cast<std::uint8_t>(SchedPhase::Event);
-                key.x = fireIdx_;
-            } else {
-                key.phase = keySrc_->tickPhase;
-                key.x = keySrc_->rank;
-            }
-            key.y = keySrc_->seq++;
-        } else {
-            key.y = nextSeq_++;
-        }
-        return key;
-    }
-
-    /**
-     * Install (or clear, with nullptr) the shard-parallel key source.
-     * Without one — the sequential kernel — keys degrade to the global
-     * insertion sequence.  Not owned; must outlive the queue's use.
-     */
-    void setKeySource(KeySource *ks) { keySrc_ = ks; }
 
     /**
      * Install (or clear, with nullptr) the cycle-attribution profiler.
@@ -168,34 +138,9 @@ class EventQueue
     Profiler::ComponentId profileContext() const { return profCtx_; }
 
     /**
-     * Schedule a callable under an explicit ordering key (the sharded
-     * kernel constructs keys that replicate the sequential global
-     * insertion order; see sim/sched_key.hh).
-     *
-     * @pre key.when must not be in the past, and the key must be
-     *      unique among pending events.
-     */
-    template <class F>
-    void
-    scheduleKeyed(const SchedKey &key, F &&cb)
-    {
-        if (key.when < lastRun_)
-            vpc_panic("event scheduled in the past ({} < {})",
-                      key.when, lastRun_);
-        Node *node = makeNode(std::forward<F>(cb));
-        place(Entry{key, node});
-        ++live_;
-        // Keep the next-event cache exact while it is valid; a dirty
-        // cache must stay dirty (min-updating an unknown value could
-        // hide an earlier pending event from the fast-forward).
-        if (!cacheDirty_ && key.when < cachedNext_)
-            cachedNext_ = key.when;
-    }
-
-    /**
-     * Run every event due at or before @p now, in deterministic key
-     * order.  Events may schedule further events (including for
-     * @p now).
+     * Run every event due at or before @p now, in insertion order
+     * within each cycle.  Events may schedule further events
+     * (including for @p now).
      *
      * @param now current cycle
      * @return number of events executed
@@ -210,7 +155,6 @@ class EventQueue
             vpc_panic("event queue run backward ({} < {})", now,
                       lastRun_);
         lastRun_ = now;
-        fireIdx_ = 0;
         std::size_t n = 0;
         while (live_ > 0) {
             Cycle next = nextEventCycle();
@@ -243,13 +187,6 @@ class EventQueue
 
     /** @return number of pending events. */
     std::size_t size() const { return live_; }
-
-    /**
-     * @return the key of the event currently being fired, or nullptr
-     * outside a callback.  The sharded kernel derives child-event
-     * ordering keys from it (see ShardContext::makeKey).
-     */
-    const SchedKey *firingKey() const { return firing_; }
 
     /**
      * @return number of entries migrated between wheel levels (level 1
@@ -289,7 +226,8 @@ class EventQueue
 
     struct Entry
     {
-        SchedKey key;
+        Cycle when;
+        std::uint64_t seq; //!< insertion order among same-cycle events
         Node *node;
     };
 
@@ -300,9 +238,9 @@ class EventQueue
     void
     place(const Entry &e)
     {
-        Cycle b = block(e.key.when);
+        Cycle b = block(e.when);
         if (b == curBlock_) {
-            std::size_t idx = e.key.when % kL0Slots;
+            std::size_t idx = e.when % kL0Slots;
             l0_[idx].push_back(e);
             l0Bits_[idx / 64] |= std::uint64_t{1} << (idx % 64);
             return;
@@ -311,12 +249,12 @@ class EventQueue
             std::size_t idx = b % kL1Slots;
             if (l1_[idx].empty()) {
                 l1Block_[idx] = b;
-                l1Min_[idx] = e.key.when;
+                l1Min_[idx] = e.when;
             } else if (l1Block_[idx] != b) {
                 vpc_panic("timing wheel L1 slot collision "
                           "(block {} vs {})", l1Block_[idx], b);
-            } else if (e.key.when < l1Min_[idx]) {
-                l1Min_[idx] = e.key.when;
+            } else if (e.when < l1Min_[idx]) {
+                l1Min_[idx] = e.when;
             }
             l1_[idx].push_back(e);
             l1Bits_[idx / 64] |= std::uint64_t{1} << (idx % 64);
@@ -330,7 +268,7 @@ class EventQueue
     static bool
     laterWhen(const Entry &a, const Entry &b)
     {
-        return a.key.when > b.key.when;
+        return a.when > b.when;
     }
 
     /**
@@ -355,7 +293,7 @@ class EventQueue
                           "in slot for block {}", l1Block_[idx], b);
             cascades_ += l1_[idx].size();
             for (const Entry &e : l1_[idx]) {
-                std::size_t s = e.key.when % kL0Slots;
+                std::size_t s = e.when % kL0Slots;
                 l0_[s].push_back(e);
                 l0Bits_[s / 64] |= std::uint64_t{1} << (s % 64);
             }
@@ -367,7 +305,7 @@ class EventQueue
         // redistribute into the wheel.
         Cycle horizonEnd = (curBlock_ + kL1Slots) * kL0Slots;
         while (!overflow_.empty() &&
-               overflow_.front().key.when < horizonEnd) {
+               overflow_.front().when < horizonEnd) {
             std::pop_heap(overflow_.begin(), overflow_.end(),
                           laterWhen);
             Entry e = overflow_.back();
@@ -385,20 +323,23 @@ class EventQueue
         auto &slot = l0_[idx];
         std::size_t n = 0;
         // Callbacks may schedule for this same cycle; those entries
-        // land back in `slot` (with strictly later keys — their
-        // schedCycle/sequence exceeds everything already sorted) and
-        // are picked up by the next round.
+        // land back in `slot` (with strictly later sequence numbers
+        // than everything already sorted) and are picked up by the
+        // next round.
         while (!slot.empty()) {
             scratch_.swap(slot);
+            // Cascaded entries join a slot after entries scheduled
+            // later, and the overflow heap pops same-cycle entries in
+            // no fixed order: restore (when, seq) order.
             std::sort(scratch_.begin(), scratch_.end(),
                       [](const Entry &a, const Entry &b) {
-                          return a.key.before(b.key);
+                          return a.when != b.when ? a.when < b.when
+                                                  : a.seq < b.seq;
                       });
             for (const Entry &e : scratch_) {
                 // The node returns to the free list only after the
                 // call: a reschedule from inside the callback must not
                 // reuse the storage the callable still lives in.
-                firing_ = &e.key;
                 if (prof_ != nullptr) {
                     // Children scheduled by this callback inherit its
                     // owner; the tick loop re-sets the context after.
@@ -413,9 +354,7 @@ class EventQueue
                 }
                 e.node->destroy(e.node->storage);
                 release(e.node);
-                ++fireIdx_;
             }
-            firing_ = nullptr;
             n += scratch_.size();
             scratch_.clear();
         }
@@ -453,8 +392,8 @@ class EventQueue
                     best = l1Min_[idx];
             }
         }
-        if (!overflow_.empty() && overflow_.front().key.when < best)
-            best = overflow_.front().key.when;
+        if (!overflow_.empty() && overflow_.front().when < best)
+            best = overflow_.front().when;
         return best;
     }
 
@@ -534,13 +473,10 @@ class EventQueue
     std::size_t peakLive_ = 0;  //!< high-water mark of liveNodes_
     std::size_t live_ = 0;      //!< pending entries
     std::uint64_t nextSeq_ = 0;
-    std::uint64_t fireIdx_ = 0; //!< fire-order index within runDue()
-    KeySource *keySrc_ = nullptr;
     std::uint64_t cascades_ = 0;
     Cycle lastRun_ = 0;
     mutable Cycle cachedNext_ = kCycleMax;
     mutable bool cacheDirty_ = false;
-    const SchedKey *firing_ = nullptr;
     Profiler *prof_ = nullptr; //!< null unless --profile
     /** Owner billed to events scheduled right now (see setProfileContext). */
     Profiler::ComponentId profCtx_ = Profiler::kUnattributed;

@@ -1,6 +1,6 @@
 /**
  * @file
- * Cycle-attribution profiler for the simulation kernels (--profile).
+ * Cycle-attribution profiler for the simulation kernel (--profile).
  *
  * Answers "where does the host's wall time go?" in terms of the model:
  * each registered component (a Ticking — cpu0..N-1, l2, mem) gets an
@@ -16,14 +16,13 @@
  *
  * The profiler is strictly observe-only: it reads the monotonic clock
  * and bumps counters, so enabling it cannot change any model
- * statistic — the parallel determinism test asserts exactly that.
+ * statistic — tests/system/profiler_test.cc asserts exactly that.
  * When disabled (no Profiler installed) the only residue on the hot
  * paths is one predictable branch per executed tick/event and one
  * 16-bit owner store per scheduled event.
  *
- * The shard-parallel kernel gives each shard its own Profiler (no
- * shared counters, no atomics); mergeByName() folds them into one
- * report after the run.
+ * mergeByName() folds the profilers of several runs into one report
+ * (the benches sum every simulation they run).
  */
 
 #ifndef VPC_SIM_PROFILER_HH

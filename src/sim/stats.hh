@@ -190,14 +190,8 @@ struct KernelStats
     Counter ticksExecuted;
     /** Total events fired from the EventQueue. */
     Counter eventsFired;
-    /** Cross-shard messages sent (sharded kernel only). */
-    Counter messagesSent;
     /** Timing-wheel overflow/L1 cascade operations. */
     Counter wheelCascades;
-    /** Shard advance iterations (sharded kernel only). */
-    Counter epochs;
-    /** Advance iterations blocked on a peer frontier (sharded only). */
-    Counter barrierStalls;
 
     void
     reset()
@@ -206,10 +200,7 @@ struct KernelStats
         cyclesSkipped.reset();
         ticksExecuted.reset();
         eventsFired.reset();
-        messagesSent.reset();
         wheelCascades.reset();
-        epochs.reset();
-        barrierStalls.reset();
     }
 };
 

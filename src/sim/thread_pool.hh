@@ -2,11 +2,11 @@
  * @file
  * Persistent worker-thread pool shared by the parallel subsystems.
  *
- * Three distinct consumers need worker threads and previously grew
- * their own: the sweep harness (system/sweep.cc spawned ad-hoc
- * std::threads per parallelFor call), the benches (via sweep), and now
- * the shard-parallel simulation kernel (sim/sharded_simulator.hh).
- * This pool is the single implementation underneath all of them.
+ * Two consumers need worker threads: the sweep harness
+ * (system/sweep.cc parallelFor, and the benches through it) and the
+ * sweep daemon, which dispatches each claimed batch of jobs
+ * (service/daemon.cc).  This pool is the single implementation
+ * underneath both.
  *
  * Model:
  *
@@ -19,9 +19,8 @@
  *    participates as a worker, so a pool of W threads serves a
  *    dispatch with up to W + 1 lanes, and dispatch works (serially)
  *    even on a pool with no threads at all.
- *  - Tasks may be long-running cooperative loops (the sharded kernel
- *    dispatches one task per kernel worker) or short jobs pulled from
- *    the shared counter (parallelFor) — the pool does not care.
+ *  - Tasks are pulled from the shared counter one at a time, so long
+ *    and short tasks mix freely — the pool does not care.
  *  - If tasks throw, every remaining task still runs and the first
  *    exception (by completion order) is rethrown on the caller.
  *

@@ -13,113 +13,6 @@
 namespace vpc
 {
 
-namespace
-{
-
-/**
- * Core-side L2 admission for the shard-parallel kernel.
- *
- * Reproduces the serial reserve-and-send path from shard-local state
- * only: the last occupancy snapshot the uncore published per bank,
- * plus this core's own sends still in crossbar flight.  A store sent
- * at cycle s holds a serial-kernel reservation until its arrival
- * event at s + L fires, and the core reads fullness *after* cycle
- * now's events — so exactly the sends with s in (now - L, now] are
- * outstanding, and
- *
- *     occupancy(latest eff <= now) + ownSends(now - L, now]
- *
- * equals the serial buffer.size() + reservations at the same read
- * point (remote arrivals reserve-and-deliver atomically, so the
- * uncore-side reservation count is always zero at publish time).
- */
-class ParallelL2Port : public L2CorePort
-{
-  public:
-    ParallelL2Port(ShardedSimulator &ps, ThreadId core,
-                   const SystemConfig &cfg)
-        : ps_(ps), core_(core), lat_(cfg.l2.interconnectLatency),
-          entries_(cfg.l2.sgbEntriesPerThread),
-          occ_(cfg.l2.banks, 0),
-          window_(static_cast<std::size_t>(cfg.l2.banks) * lat_)
-    {
-    }
-
-    bool
-    store(Addr line, unsigned bank, Cycle now) override
-    {
-        if (occ_[bank] + pending(bank, now) >= entries_)
-            return false;
-        Slot &s = slot(bank, now);
-        if (s.cycle == now) {
-            ++s.count;
-        } else {
-            s.cycle = now;
-            s.count = 1;
-        }
-        send(line, bank, now, true, false);
-        return true;
-    }
-
-    void
-    load(Addr line, unsigned bank, Cycle now, bool prefetch) override
-    {
-        send(line, bank, now, false, prefetch);
-    }
-
-    /** Apply an occupancy snapshot delivered by the kernel. */
-    void applyOcc(unsigned bank, unsigned occ) { occ_[bank] = occ; }
-
-  private:
-    struct Slot
-    {
-        Cycle cycle = kCycleMax; //!< kCycleMax: never written
-        unsigned count = 0;
-    };
-
-    Slot &
-    slot(unsigned bank, Cycle now)
-    {
-        return window_[bank * lat_ + now % lat_];
-    }
-
-    /** Own stores still in crossbar flight: sent in (now - L, now]. */
-    unsigned
-    pending(unsigned bank, Cycle now) const
-    {
-        unsigned n = 0;
-        for (Cycle i = 0; i < lat_; ++i) {
-            const Slot &s = window_[bank * lat_ + i];
-            if (s.cycle <= now && s.cycle + lat_ > now)
-                n += s.count;
-        }
-        return n;
-    }
-
-    void
-    send(Addr line, unsigned bank, Cycle now, bool is_store,
-         bool prefetch)
-    {
-        CrossMsg m;
-        m.key = ps_.coreEvents(core_).makeKey(now + lat_);
-        m.thread = core_;
-        m.line = line;
-        m.bank = static_cast<std::uint8_t>(bank);
-        m.isStore = is_store;
-        m.prefetch = prefetch;
-        ps_.sendCross(core_, m);
-    }
-
-    ShardedSimulator &ps_;
-    ThreadId core_;
-    Cycle lat_;
-    unsigned entries_;
-    std::vector<unsigned> occ_;
-    std::vector<Slot> window_;
-};
-
-} // namespace
-
 CmpSystem::CmpSystem(SystemConfig cfg_,
                      std::vector<std::unique_ptr<Workload>> workloads_)
     : cfg(std::move(cfg_)), workloads(std::move(workloads_))
@@ -129,17 +22,6 @@ CmpSystem::CmpSystem(SystemConfig cfg_,
         vpc_fatal("{} workloads for {} processors", workloads.size(),
                   cfg.numProcessors);
 
-    if (cfg.kernelThreads > 1) {
-        psim_ = std::make_unique<ShardedSimulator>(
-            cfg.numProcessors, cfg.kernelThreads,
-            ShardLookahead::fromConfig(cfg));
-    }
-    // With the sharded kernel, uncore components live on the uncore
-    // shard's queue and each L1 on its core's queue; serially there
-    // is only the one queue.
-    EventQueue &uncore_events =
-        psim_ ? psim_->uncoreEvents() : sim.events();
-
     std::vector<double> mem_shares;
     mem_shares.reserve(cfg.shares.size());
     for (const QosShare &s : cfg.shares)
@@ -147,15 +29,13 @@ CmpSystem::CmpSystem(SystemConfig cfg_,
     mem_ = std::make_unique<MemoryController>(cfg.mem,
                                               cfg.numProcessors,
                                               cfg.l2.lineBytes,
-                                              uncore_events,
+                                              sim.events(),
                                               mem_shares);
-    l2_ = std::make_unique<L2Cache>(cfg, uncore_events, *mem_);
+    l2_ = std::make_unique<L2Cache>(cfg, sim.events(), *mem_);
 
     for (ThreadId t = 0; t < cfg.numProcessors; ++t) {
-        EventQueue &core_events =
-            psim_ ? psim_->coreEvents(t) : sim.events();
         l1s.push_back(std::make_unique<L1DCache>(cfg.l1ConfigFor(t),
-                                                 t, core_events));
+                                                 t, sim.events()));
         L1DCache &l1 = *l1s.back();
         L2Cache &l2 = *l2_;
         l1.setMissHandler([&l2, t](Addr line_addr, Cycle now,
@@ -164,11 +44,6 @@ CmpSystem::CmpSystem(SystemConfig cfg_,
         });
         cpus.push_back(std::make_unique<Cpu>(cfg.core, t,
                                              *workloads[t], l1, *l2_));
-    }
-
-    if (psim_) {
-        buildSharded();
-        return;
     }
 
     l2_->setResponseHandler([this](ThreadId t, Addr line_addr) {
@@ -207,8 +82,8 @@ CmpSystem::CmpSystem(SystemConfig cfg_,
     }
 
     if (cfg.profile) {
-        profilers_.push_back(std::make_unique<Profiler>());
-        sim.setProfiler(profilers_.back().get());
+        profiler_ = std::make_unique<Profiler>();
+        sim.setProfiler(profiler_.get());
     }
 
     // The simulator additionally forces the naive loop whenever an
@@ -219,103 +94,10 @@ CmpSystem::CmpSystem(SystemConfig cfg_,
         buildVerifier();
 }
 
-void
-CmpSystem::buildSharded()
-{
-    for (ThreadId t = 0; t < cfg.numProcessors; ++t) {
-        auto port = std::make_unique<ParallelL2Port>(*psim_, t, cfg);
-        l2_->setCorePort(t, port.get());
-        corePorts_.push_back(std::move(port));
-    }
-
-    // Uncore -> core: critical-word fills, delivered as keyed events
-    // on the requesting core's queue (the serial response event).
-    l2_->setFillPort([this](ThreadId t, Addr line_addr,
-                            Cycle critical) {
-        psim_->sendFill(t, line_addr, critical);
-    });
-    psim_->setFillHandler([this](unsigned core, Addr line_addr,
-                                 Cycle when) {
-        l1s.at(core)->fill(line_addr, when);
-    });
-
-    // Core -> uncore: stores and loads crossing the interconnect
-    // (the serial storeArrive / loadArrive events).
-    psim_->setArriveHandler([this](const CrossMsg &m) {
-        L2Bank &bank = l2_->bank(m.bank);
-        if (m.isStore)
-            bank.remoteStoreArrive(m.thread, m.line, m.key.when);
-        else
-            bank.loadArrive(m.thread, m.line, m.key.when, m.prefetch);
-    });
-
-    // Store-buffer occupancy snapshots for the core-side admission
-    // checks; the kernel dedups unchanged values per (core, bank).
-    psim_->setOccHandler([this](unsigned core, unsigned bank,
-                                unsigned occ) {
-        static_cast<ParallelL2Port &>(*corePorts_[core])
-            .applyOcc(bank, occ);
-    });
-    // Version gate: occupancy can only differ from the last publish
-    // when some SGB in the bank changed size, so an unchanged version
-    // skips the whole per-thread probe pass (it runs twice per uncore
-    // cycle).  publishOcc still dedups per (core, bank), so the
-    // message stream is identical to the ungated probe.
-    sgbVerSeen_.assign(l2_->numBanks(), 0);
-    psim_->setUncorePhaseHook([this](Cycle eff) {
-        for (unsigned b = 0; b < l2_->numBanks(); ++b) {
-            const L2Bank &bank = l2_->bank(b);
-            const std::uint64_t v = bank.sgbOccVersion();
-            if (v == sgbVerSeen_[b])
-                continue;
-            sgbVerSeen_[b] = v;
-            for (ThreadId t = 0; t < cfg.numProcessors; ++t) {
-                psim_->publishOcc(
-                    t, b, eff,
-                    static_cast<unsigned>(bank.sgb(t).occupancy()));
-            }
-        }
-    });
-
-    for (ThreadId t = 0; t < cfg.numProcessors; ++t) {
-        psim_->addCoreTicking(t, cpus[t].get(),
-                              "cpu" + std::to_string(t));
-    }
-    psim_->addUncoreTicking(l2_.get(), "l2");
-    psim_->addUncoreTicking(mem_.get(), "mem");
-
-    // L1 hit completions are CPU -> private L1 -> CPU, entirely
-    // intra-shard, so they fuse under the sharded kernel too — the
-    // same lane type the serial kernel drains, one per core shard.
-    // Crossbar transits and responses cross the shard boundary and
-    // must remain real (counted) events here; the serial kernel's
-    // counted lanes mirror them so eventsFired agrees across kernels.
-    if (cfg.kernelFuse) {
-        for (ThreadId t = 0; t < cfg.numProcessors; ++t) {
-            cpus[t]->setHitFused(true);
-            psim_->addCoreChain(t, cpus[t]->hitChain());
-        }
-    }
-
-    if (cfg.profile) {
-        // One Profiler per shard: workers never share counters; the
-        // accounts are merged by name in mergedProfile().
-        for (ThreadId t = 0; t < cfg.numProcessors; ++t) {
-            profilers_.push_back(std::make_unique<Profiler>());
-            psim_->setCoreProfiler(t, profilers_.back().get());
-        }
-        profilers_.push_back(std::make_unique<Profiler>());
-        psim_->setUncoreProfiler(profilers_.back().get());
-    }
-}
-
 Profiler
 CmpSystem::mergedProfile() const
 {
-    Profiler merged;
-    for (const auto &p : profilers_)
-        merged.mergeByName(*p);
-    return merged;
+    return profiler_ ? *profiler_ : Profiler{};
 }
 
 void
@@ -477,28 +259,21 @@ CmpSystem::dumpState() const
             out += format(" t{}={}", t, bank.sgb(t).occupancy());
         out += "\n";
     }
-    // Both counts include undrained fused-lane entries, so serial and
-    // sharded dumps stay comparable (lanes hold what the other
-    // kernel's queue holds as events).
-    out += format("event queue: {} pending\n",
-                  psim_ ? psim_->queuedEvents() : sim.pendingEvents());
+    // The count includes undrained fused-lane entries, so it does not
+    // depend on whether fusion is on.
+    out += format("event queue: {} pending\n", sim.pendingEvents());
     return out;
 }
 
 void
 CmpSystem::run(Cycle cycles)
 {
-    if (psim_)
-        psim_->run(cycles);
-    else
-        sim.run(cycles);
+    sim.run(cycles);
 }
 
 void
 CmpSystem::setCancelToken(const CancelToken *token)
 {
-    if (psim_)
-        psim_->setCancelToken(token);
     sim.setCancelToken(token);
     if (verifier_ && verifier_->watchdog())
         verifier_->watchdog()->setCancelToken(token);

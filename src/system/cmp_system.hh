@@ -21,7 +21,6 @@
 #include "mem/memory_controller.hh"
 #include "sim/config.hh"
 #include "sim/logging.hh"
-#include "sim/sharded_simulator.hh"
 #include "sim/simulator.hh"
 #include "verify/verifier.hh"
 #include "workload/workload.hh"
@@ -98,14 +97,10 @@ class CmpSystem
     void run(Cycle cycles);
 
     /** @return the current cycle. */
-    Cycle now() const { return psim_ ? psim_->now() : sim.now(); }
+    Cycle now() const { return sim.now(); }
 
     /** @return kernel work/skip counters (see KernelStats). */
-    const KernelStats &
-    kernelStats() const
-    {
-        return psim_ ? psim_->kernelStats() : sim.kernelStats();
-    }
+    const KernelStats &kernelStats() const { return sim.kernelStats(); }
 
     /** Capture all measurement counters. */
     SystemSnapshot snapshot() const;
@@ -125,9 +120,6 @@ class CmpSystem
     const L2Cache &l2() const { return *l2_; }
     MemoryController &mem() { return *mem_; }
     const SystemConfig &config() const { return cfg; }
-
-    /** @return the sharded kernel, or nullptr when running serially. */
-    ShardedSimulator *shardedKernel() { return psim_.get(); }
     /// @}
 
     /**
@@ -141,7 +133,7 @@ class CmpSystem
      * @name Supervision (the sweep daemon's per-job robustness hooks)
      *
      * setCancelToken() installs a cooperative cancel flag on the
-     * active kernel (and the Watchdog when one is configured): when
+     * kernel (and the Watchdog when one is configured): when
      * the owner sets it, run() unwinds with JobCancelled and the
      * system must be discarded.  armWallDeadline() bounds the run's
      * host time through the Watchdog; it requires
@@ -159,12 +151,11 @@ class CmpSystem
     std::string dumpState() const;
 
     /** @return true when the cycle-attribution profiler is attached. */
-    bool profiling() const { return !profilers_.empty(); }
+    bool profiling() const { return profiler_ != nullptr; }
 
     /**
-     * @return every kernel's profiler accounts folded into one, merged
-     *         by component name (the shard-parallel kernel keeps one
-     *         Profiler per shard).  Meaningful only when profiling().
+     * @return a copy of the profiler's per-component accounts (only
+     *         the unattributed account when not profiling()).
      */
     Profiler mergedProfile() const;
 
@@ -172,18 +163,11 @@ class CmpSystem
     /** Build the verify layer from cfg.verify and install it. */
     void buildVerifier();
 
-    /** Wire components onto the shard-parallel kernel (threads > 1). */
-    void buildSharded();
-
     SystemConfig cfg;
     Simulator sim;
-    /** Shard-parallel kernel; non-null iff cfg.kernelThreads > 1. */
-    std::unique_ptr<ShardedSimulator> psim_;
-    /** Per-thread core-side L2 ports (shard-parallel only). */
-    std::vector<std::unique_ptr<L2CorePort>> corePorts_;
-    /** Fused fixed-latency chains (cfg.kernelFuse, serial kernel):
-     *  the crossbar-transit and critical-word response lanes.  The
-     *  per-core L1 hit lanes live inside the Cpus (both kernels). */
+    /** Fused fixed-latency chains (cfg.kernelFuse): the crossbar
+     *  transit and critical-word response lanes.  The per-core L1
+     *  hit lanes live inside the Cpus. */
     std::unique_ptr<L2Cache::TransitLane> transitLane_;
     std::unique_ptr<L2Bank::ResponseLane> respLane_;
     std::vector<std::unique_ptr<Workload>> workloads;
@@ -191,10 +175,8 @@ class CmpSystem
     std::unique_ptr<L2Cache> l2_;
     std::vector<std::unique_ptr<L1DCache>> l1s;
     std::vector<std::unique_ptr<Cpu>> cpus;
-    /** One per kernel (serial: 1; sharded: cores + 1); see --profile. */
-    std::vector<std::unique_ptr<Profiler>> profilers_;
-    /** Last L2Bank::sgbOccVersion() seen by the uncore phase hook. */
-    std::vector<std::uint64_t> sgbVerSeen_;
+    /** Cycle-attribution profiler; non-null iff cfg.profile. */
+    std::unique_ptr<Profiler> profiler_;
 
     // Declared after the components so they are destroyed first:
     // the checkers and the dump callback hold references into them.

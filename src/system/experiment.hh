@@ -44,11 +44,7 @@ SystemConfig makeBaselineConfig(unsigned num_processors,
  *         (8 MB per bank, so per-bank capacity and set count match the
  *         baseline), equal QoS shares, and an interconnect deepened
  *         with machine size (3/4/5 cycles at 8/16/32 processors — a
- *         crossbar serving more agents takes longer per hop).  The
- *         deeper interconnect also widens the shard-parallel kernel's
- *         conservative lookahead window (see ShardLookahead), so the
- *         big configs synchronize shards less often per simulated
- *         cycle than the 4-processor baseline.
+ *         crossbar serving more agents takes longer per hop).
  *
  * @pre num_processors is a power of 2 in [2, 32] (banks must be a
  *      power of 2, and beta * ways must stay >= 1 way per thread

@@ -156,11 +156,6 @@ simUsage()
         "                       trace workloads key by path, so stale\n"
         "                       records must be cleared when a trace\n"
         "                       file is rewritten in place\n"
-        "  --threads=N          kernel worker threads (default 1).\n"
-        "                       N > 1 runs the deterministic\n"
-        "                       shard-parallel kernel: one shard per\n"
-        "                       core plus the uncore, bit-identical\n"
-        "                       model results at any N\n"
         "  --profile            attribute host time to components:\n"
         "                       per-component tick/event time and\n"
         "                       counts, reported to stderr after the\n"
@@ -257,11 +252,6 @@ parseSimOptions(const std::vector<std::string> &args,
                 return std::nullopt;
             }
             opts.runCacheDir = value;
-        } else if (key == "--threads") {
-            std::uint64_t n;
-            if (!parseU64(value, n, error_out))
-                return std::nullopt;
-            opts.config.kernelThreads = static_cast<unsigned>(n);
         } else if (key == "--profile") {
             opts.config.profile = true;
         } else if (key == "--no-skip") {

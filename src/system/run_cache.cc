@@ -106,7 +106,6 @@ digestConfig(Fnv1a &h, const SystemConfig &cfg)
     h.u64(v.faultSeed);
 
     h.u64(cfg.kernelSkip ? 1 : 0);
-    h.u64(cfg.kernelThreads);
     h.u64(cfg.kernelFuse ? 1 : 0);
     h.u64(cfg.allowUnallocatedShares ? 1 : 0);
     h.u64(cfg.vpcIntraThreadRow ? 1 : 0);
@@ -293,7 +292,7 @@ RunCache::loadFromDisk(std::uint64_t key, RunRecord &out) const
 
     std::vector<std::uint64_t> kernel, ipc, instrs, l2r, l2w, l2m,
         sgbs, sgbg, utils;
-    if (!p.getArray("kernel", kernel) || kernel.size() != 8 ||
+    if (!p.getArray("kernel", kernel) || kernel.size() != 5 ||
         !p.getArray("ipc_bits", ipc) || !p.getArray("instrs", instrs) ||
         !p.getArray("l2_reads", l2r) || !p.getArray("l2_writes", l2w) ||
         !p.getArray("l2_misses", l2m) ||
@@ -326,10 +325,7 @@ RunCache::loadFromDisk(std::uint64_t key, RunRecord &out) const
     out.kernel.cyclesSkipped.inc(kernel[1]);
     out.kernel.ticksExecuted.inc(kernel[2]);
     out.kernel.eventsFired.inc(kernel[3]);
-    out.kernel.messagesSent.inc(kernel[4]);
-    out.kernel.wheelCascades.inc(kernel[5]);
-    out.kernel.epochs.inc(kernel[6]);
-    out.kernel.barrierStalls.inc(kernel[7]);
+    out.kernel.wheelCascades.inc(kernel[4]);
     return true;
 }
 
@@ -376,10 +372,7 @@ RunCache::storeToDisk(std::uint64_t key, const RunRecord &r) const
               r.kernel.cyclesSkipped.value(),
               r.kernel.ticksExecuted.value(),
               r.kernel.eventsFired.value(),
-              r.kernel.messagesSent.value(),
-              r.kernel.wheelCascades.value(),
-              r.kernel.epochs.value(),
-              r.kernel.barrierStalls.value()});
+              r.kernel.wheelCascades.value()});
     writeRecordVec(f, "ipc_bits", recordBits(s.ipc));
     writeRecordVec(f, "instrs", s.instrs);
     writeRecordVec(f, "l2_reads", s.l2Reads);

@@ -3,7 +3,7 @@
  * Content-addressed simulation result cache.
  *
  * Every measured run of the simulator is a pure function of its
- * inputs: the kernels are deterministic (DESIGN.md 5c/5d) and produce
+ * inputs: the kernel is deterministic (DESIGN.md 5c) and produces
  * byte-identical statistics for a given (SystemConfig, workload
  * streams, run lengths) triple.  That contract makes exact result
  * memoization sound: a run is keyed by a stable FNV-1a digest of its
@@ -70,7 +70,7 @@ namespace vpc
 {
 
 /** Bump when the digested inputs or the record layout change. */
-constexpr std::uint64_t kRunCacheSchema = 2;
+constexpr std::uint64_t kRunCacheSchema = 3;
 
 /**
  * Content identity of one workload stream: a vpcsim-style spec string
@@ -210,7 +210,7 @@ class RunCache
 struct RunSupervision
 {
     /**
-     * Cooperative cancel token, polled by the kernels (and the
+     * Cooperative cancel token, polled by the kernel (and the
      * Watchdog when one is configured); when set, the run throws
      * JobCancelled.  nullptr = unsupervised.
      */

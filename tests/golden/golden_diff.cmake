@@ -51,13 +51,8 @@ execute_process(
     COMMAND ${CMAKE_COMMAND} -E compare_files "${GOLDEN}" "${actual}"
     RESULT_VARIABLE differ)
 if(differ)
-    find_program(DIFF diff)
-    if(DIFF)
-        execute_process(COMMAND ${DIFF} -u "${GOLDEN}" "${actual}"
-                        OUTPUT_VARIABLE delta)
-    else()
-        file(READ "${actual}" delta)
-    endif()
+    execute_process(COMMAND diff -u "${GOLDEN}" "${actual}"
+                    OUTPUT_VARIABLE delta)
     message(FATAL_ERROR "stdout of ${PROG} ${ARGS} differs from "
                         "${GOLDEN}:\n${delta}")
 endif()

@@ -1,9 +1,8 @@
 /**
  * @file
  * Hierarchical-timing-wheel specifics of the EventQueue: slot routing
- * across the three levels (L0 slots, L1 blocks, overflow heap), the
- * cascade paths between them, and the keyed-scheduling hooks the
- * shard-parallel kernel uses.  The API-level behavior (ordering,
+ * across the three levels (L0 slots, L1 blocks, overflow heap) and the
+ * cascade paths between them.  The API-level behavior (ordering,
  * pooling, panics) is covered by event_queue_test.cc; these tests pin
  * the level boundaries where a wheel bug would hide.
  */
@@ -13,7 +12,6 @@
 #include <vector>
 
 #include "sim/event_queue.hh"
-#include "sim/sched_key.hh"
 
 namespace vpc
 {
@@ -107,76 +105,23 @@ TEST(TimingWheel, RescheduleFromCallbackSameCycleRuns)
     EXPECT_EQ(runs, 2);
 }
 
-TEST(TimingWheel, KeyedScheduleOrdersByCompositeKey)
+TEST(TimingWheel, SameCycleOverflowEntriesFireInScheduleOrder)
 {
     EventQueue q;
+    // Beyond the L1 horizon, so every entry parks in the overflow
+    // heap.  The heap orders by cycle only and pops equal cycles in no
+    // fixed order; the (when, seq) sort at fire time must restore
+    // schedule order.
+    const Cycle far = static_cast<Cycle>(EventQueue::kL0Slots) *
+                      EventQueue::kL1Slots + 100;
     std::vector<int> order;
-    // Same fire cycle; keys differ in (schedCycle, phase, x, y).
-    // scheduleKeyed must order by key, not insertion.
-    SchedKey a, b, c;
-    a.when = b.when = c.when = 40;
-    a.schedCycle = 10;
-    a.phase = static_cast<std::uint8_t>(SchedPhase::UncoreTick);
-    b.schedCycle = 10;
-    b.phase = static_cast<std::uint8_t>(SchedPhase::CpuTick);
-    b.x = 1;
-    c.schedCycle = 9;
-    c.phase = static_cast<std::uint8_t>(SchedPhase::UncoreTick);
-    q.scheduleKeyed(a, [&] { order.push_back(0); });
-    q.scheduleKeyed(b, [&] { order.push_back(1); });
-    q.scheduleKeyed(c, [&] { order.push_back(2); });
-    q.runDue(40);
-    // c (earlier schedCycle) first, then b (CpuTick < UncoreTick),
-    // then a.
-    EXPECT_EQ(order, (std::vector<int>{2, 1, 0}));
-}
-
-TEST(TimingWheel, KeySourceStampsTickAndFiringContexts)
-{
-    EventQueue q;
-    KeySource ks;
-    ks.tickPhase = static_cast<std::uint8_t>(SchedPhase::CpuTick);
-    ks.rank = 3;
-    q.setKeySource(&ks);
-
-    ks.now = 7;
-    SchedKey tick_key = q.makeKey(20);
-    EXPECT_EQ(tick_key.when, 20u);
-    EXPECT_EQ(tick_key.schedCycle, 7u);
-    EXPECT_EQ(tick_key.phase,
-              static_cast<std::uint8_t>(SchedPhase::CpuTick));
-    EXPECT_EQ(tick_key.x, 3u);
-
-    // From inside a firing callback, keys switch to the event phase
-    // with the firing index as x.
-    SchedKey child{};
-    q.schedule(8, [&] { child = q.makeKey(30); });
-    ks.now = 8;
-    q.runDue(8);
-    EXPECT_EQ(child.when, 30u);
-    EXPECT_EQ(child.schedCycle, 8u);
-    EXPECT_EQ(child.phase,
-              static_cast<std::uint8_t>(SchedPhase::Event));
-    EXPECT_EQ(child.x, 0u); // first event fired this cycle
-    // Sequence numbers came from the source, strictly increasing.
-    EXPECT_LT(tick_key.y, child.y);
-}
-
-TEST(TimingWheel, FiringIndexCountsAcrossCycleFireOrder)
-{
-    EventQueue q;
-    KeySource ks;
-    ks.tickPhase = static_cast<std::uint8_t>(SchedPhase::UncoreTick);
-    q.setKeySource(&ks);
-    std::vector<std::uint64_t> xs;
-    ks.now = 4;
-    q.schedule(5, [&] { xs.push_back(q.makeKey(9).x); });
-    q.schedule(5, [&] { xs.push_back(q.makeKey(9).x); });
-    q.schedule(5, [&] { xs.push_back(q.makeKey(9).x); });
-    ks.now = 5;
-    q.runDue(5);
-    // Each firing event sees its own position in the fire order.
-    EXPECT_EQ(xs, (std::vector<std::uint64_t>{0, 1, 2}));
+    for (int i = 0; i < 16; ++i)
+        q.schedule(far, [&order, i] { order.push_back(i); });
+    EXPECT_EQ(q.runDue(far), 16u);
+    std::vector<int> expected(16);
+    for (int i = 0; i < 16; ++i)
+        expected[i] = i;
+    EXPECT_EQ(order, expected);
 }
 
 } // namespace

@@ -95,6 +95,19 @@ TEST(SimOptions, ErrorsAreReported)
     EXPECT_NE(err.find("--workload"), std::string::npos);
 }
 
+TEST(SimOptions, KernelThreadsOptionIsGone)
+{
+    // The simulator has one serial kernel; --threads no longer names a
+    // kernel worker count and is rejected like any unknown flag.
+    std::string err;
+    std::vector<std::string> v = {"--workload=loads,stores",
+                                  "--threads=2"};
+    EXPECT_FALSE(parseSimOptions(v, err));
+    EXPECT_NE(err.find("unknown option '--threads=2'"),
+              std::string::npos);
+    EXPECT_EQ(simUsage().find("--threads"), std::string::npos);
+}
+
 TEST(SimOptions, HelpProducesUsage)
 {
     std::string err;
