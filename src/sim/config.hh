@@ -254,10 +254,10 @@ struct SystemConfig
      * Fuse fixed-latency event chains (sim/fused_chain.hh): L1 hit
      * completions, crossbar transits and critical-word responses run
      * through FIFO lanes drained each cycle instead of the timing
-     * wheel.  Model results and stdout are byte-identical either way
-     * — the differential and determinism tests assert it — so turning
-     * this off (the VPC_NO_FUSE=1 escape hatch) is purely a
-     * verification and debugging aid.
+     * wheel.  Model results are byte-identical either way — the
+     * committed goldens in tests/golden/ check it — so turning this
+     * off (the VPC_NO_FUSE=1 escape hatch) is purely a verification
+     * and debugging aid.
      */
     bool kernelFuse = defaultKernelFuse();
 

@@ -35,10 +35,9 @@
  *
  * Counted lanes (crossbar transit, critical-word response) increment
  * eventsFired and bill the profiler exactly as the event path would;
- * uncounted lanes (L1 hit completions) vanish from both.  The split
- * dates from a removed shard-parallel kernel that fired the counted
- * hops as real events, and it stays because eventsFired is pinned by
- * the committed goldens (the vpcsim "kernel:" line).
+ * uncounted lanes (L1 hit completions) vanish from both.  Which lanes
+ * count is pinned by the committed goldens (eventsFired is in the
+ * vpcsim "kernel:" line), so changing it means regenerating them.
  */
 
 #ifndef VPC_SIM_FUSED_CHAIN_HH
