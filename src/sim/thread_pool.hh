@@ -15,7 +15,7 @@
  *    workers is valid and cheap: every dispatch then runs inline on
  *    the calling thread.
  *  - dispatch(n, fn) runs fn(0) .. fn(n-1) exactly once each, handing
- *    indices out from an atomic counter.  The calling thread
+ *    indices out from a shared counter.  The calling thread
  *    participates as a worker, so a pool of W threads serves a
  *    dispatch with up to W + 1 lanes, and dispatch works (serially)
  *    even on a pool with no threads at all.
