@@ -3,8 +3,8 @@
  * Microbenchmarks of the SoA hot scans (DESIGN.md 5i): the
  * way-parallel tag match (CacheArray::lookup), the victim scan
  * (CacheArray::insert -> minStampWay / overage masks) and the RoW
- * candidate scan (rowCandidateIndex), each over every PolicyKind the
- * devirtualized fill path dispatches on.
+ * candidate scan (rowCandidateIndex), each over every CapacityPolicy
+ * the fill path dispatches on.
  *
  * Every case runs twice — once with vec::forceScalar set (the scalar
  * reference bodies) and once on the compiled vector path — so the
@@ -33,7 +33,6 @@
 #include "arbiter/row_scan.hh"
 #include "bench_common.hh"
 #include "cache/cache_array.hh"
-#include "cache/replacement.hh"
 #include "sim/vec.hh"
 
 using namespace vpc;
@@ -51,45 +50,18 @@ nextRand(std::uint64_t &s)
     return s * 0x2545F4914F6CDD1Dull;
 }
 
-/** LRU with the virtual-dispatch tag: exercises PolicyKind::Other. */
-class OracleLru : public LruReplacement
-{
-  public:
-    PolicyKind kind() const override { return PolicyKind::Other; }
-    std::string name() const override { return "OracleLRU"; }
-};
-
 constexpr unsigned kSets = 256;
 constexpr unsigned kWays = 16;
 constexpr unsigned kLine = 64;
 constexpr unsigned kThreads = 4;
 
-std::unique_ptr<ReplacementPolicy>
-makePolicy(PolicyKind kind)
-{
-    std::vector<double> betas(kThreads, 1.0 / kThreads);
-    switch (kind) {
-      case PolicyKind::Lru:
-        return std::make_unique<LruReplacement>();
-      case PolicyKind::Vpc:
-        return std::make_unique<VpcCapacityManager>(betas, kWays);
-      case PolicyKind::GlobalOccupancy:
-        return std::make_unique<GlobalOccupancyManager>(
-            betas, std::uint64_t{kSets} * kWays);
-      case PolicyKind::Other:
-        return std::make_unique<OracleLru>();
-    }
-    return nullptr;
-}
-
 const char *
-policyName(PolicyKind kind)
+policyName(CapacityPolicy policy)
 {
-    switch (kind) {
-      case PolicyKind::Lru: return "lru";
-      case PolicyKind::Vpc: return "vpc";
-      case PolicyKind::GlobalOccupancy: return "global_occ";
-      case PolicyKind::Other: return "oracle";
+    switch (policy) {
+      case CapacityPolicy::Lru: return "lru";
+      case CapacityPolicy::Vpc: return "vpc";
+      case CapacityPolicy::GlobalOccupancy: return "global_occ";
     }
     return "?";
 }
@@ -167,11 +139,12 @@ struct CacheFixture
 };
 
 std::unique_ptr<CacheFixture>
-makeCacheFixture(PolicyKind kind, std::uint64_t footprint_lines)
+makeCacheFixture(CapacityPolicy policy, std::uint64_t footprint_lines)
 {
     auto f = std::make_unique<CacheFixture>();
-    f->array = std::make_unique<CacheArray>(kSets, kWays, kLine,
-                                            makePolicy(kind));
+    f->array = std::make_unique<CacheArray>(
+        kSets, kWays, kLine, policy,
+        std::vector<double>(kThreads, 1.0 / kThreads));
     std::uint64_t seed = 0x9E3779B97F4A7C15ull;
     f->addrs.reserve(footprint_lines);
     for (std::uint64_t i = 0; i < footprint_lines; ++i)
@@ -242,16 +215,16 @@ main(int argc, char **argv)
     rep.setQuick(smoke);
     std::vector<CaseResult> results;
 
-    const PolicyKind kinds[] = {PolicyKind::Lru, PolicyKind::Vpc,
-                                PolicyKind::GlobalOccupancy,
-                                PolicyKind::Other};
-    for (PolicyKind kind : kinds) {
+    const CapacityPolicy policies[] = {CapacityPolicy::Lru,
+                                       CapacityPolicy::Vpc,
+                                       CapacityPolicy::GlobalOccupancy};
+    for (CapacityPolicy policy : policies) {
         // Tag match: ~2x the cache's line capacity, so the stream
         // mixes hits and misses and every lookup scans a full set.
         const std::uint64_t footprint = 2ull * kSets * kWays;
         results.push_back(differential(
-            std::string("tag_match/") + policyName(kind), lookups,
-            [&] { return makeCacheFixture(kind, footprint); },
+            std::string("tag_match/") + policyName(policy), lookups,
+            [&] { return makeCacheFixture(policy, footprint); },
             [](CacheFixture &f, std::uint64_t i) -> std::uint64_t {
                 Addr a = f.addrs[i % f.addrs.size()];
                 return f.array->lookup(
@@ -263,8 +236,8 @@ main(int argc, char **argv)
         // is full, so this times chooseVictim (min-stamp scan under
         // LRU, the overage-mask walk under the capacity managers).
         results.push_back(differential(
-            std::string("victim_scan/") + policyName(kind), inserts,
-            [&] { return makeCacheFixture(kind, footprint); },
+            std::string("victim_scan/") + policyName(policy), inserts,
+            [&] { return makeCacheFixture(policy, footprint); },
             [](CacheFixture &f, std::uint64_t i) -> std::uint64_t {
                 Addr a = f.addrs[(i * 7) % f.addrs.size()] +
                          (i << 24);

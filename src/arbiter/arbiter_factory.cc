@@ -1,7 +1,6 @@
 #include "arbiter/arbiter_factory.hh"
 
 #include "arbiter/fcfs_arbiter.hh"
-#include "arbiter/round_robin_arbiter.hh"
 #include "arbiter/row_fcfs_arbiter.hh"
 #include "sim/logging.hh"
 
@@ -19,8 +18,6 @@ makeArbiter(ArbiterPolicy policy, unsigned num_threads,
         return std::make_unique<FcfsArbiter>(num_threads);
       case ArbiterPolicy::RowFcfs:
         return std::make_unique<RowFcfsArbiter>(num_threads);
-      case ArbiterPolicy::RoundRobin:
-        return std::make_unique<RoundRobinArbiter>(num_threads);
       case ArbiterPolicy::Vpc:
         return std::make_unique<VpcArbiter>(num_threads, read_latency,
                                             write_multiplier, shares,
@@ -35,7 +32,6 @@ arbiterPolicyName(ArbiterPolicy policy)
     switch (policy) {
       case ArbiterPolicy::Fcfs: return "FCFS";
       case ArbiterPolicy::RowFcfs: return "RoW-FCFS";
-      case ArbiterPolicy::RoundRobin: return "RoundRobin";
       case ArbiterPolicy::Vpc: return "VPC";
     }
     return "?";

@@ -1,20 +1,18 @@
 #include "cache/cache_array.hh"
 
 #include <bit>
-#include <limits>
 
-#include "cache/replacement.hh"
 #include "sim/logging.hh"
 
 namespace vpc
 {
 
 CacheArray::CacheArray(std::uint64_t sets, unsigned ways,
-                       unsigned line_bytes,
-                       std::unique_ptr<ReplacementPolicy> policy,
+                       unsigned line_bytes, CapacityPolicy policy,
+                       const std::vector<double> &betas,
                        unsigned index_shift)
     : sets_(sets), ways_(ways), lineBytes_(line_bytes),
-      indexShift_(index_shift), policy_(std::move(policy))
+      indexShift_(index_shift), policy_(policy)
 {
     if (!isPowerOf2(sets_) || !isPowerOf2(lineBytes_))
         vpc_fatal("cache geometry must use power-of-two sets ({}) and "
@@ -24,11 +22,20 @@ CacheArray::CacheArray(std::uint64_t sets, unsigned ways,
     if (ways_ > 64)
         vpc_fatal("cache associativity {} exceeds 64 (way state is "
                   "packed into one mask word per set)", ways_);
-    if (!policy_)
-        vpc_panic("CacheArray constructed without replacement policy");
     lineShift_ = log2i(lineBytes_);
     setShift_ = log2i(sets_);
-    kind_ = policy_->kind();
+    if (policy_ != CapacityPolicy::Lru) {
+        double sum = 0.0;
+        for (double beta : betas) {
+            if (beta < 0.0 || beta > 1.0)
+                vpc_fatal("capacity share {} out of [0,1]", beta);
+            sum += beta;
+            quotas_.push_back(quotaFor(beta));
+        }
+        if (sum > 1.0 + 1e-9)
+            vpc_fatal("cache capacity over-allocated: sum(beta)={}",
+                      sum);
+    }
     // The tag and stamp planes carry kWidth64 - 1 words of tail
     // padding so the vectorized scans can load whole vectors from any
     // set base without overreading the allocation (vec.hh's "padded"
@@ -39,8 +46,6 @@ CacheArray::CacheArray(std::uint64_t sets, unsigned ways,
     validMask_.assign(sets_, 0);
     dirtyMask_.assign(sets_, 0);
 }
-
-CacheArray::~CacheArray() = default;
 
 void
 CacheArray::ensureMaskThread(ThreadId t)
@@ -66,17 +71,30 @@ CacheArray::bumpOcc(ThreadId t, std::int64_t delta)
 }
 
 std::uint64_t
-CacheArray::trackedOccupancy(ThreadId t) const
+CacheArray::quotaFor(double beta) const
 {
-    return t < occTracked_.size() ? occTracked_[t] : 0;
+    const std::uint64_t unit =
+        policy_ == CapacityPolicy::GlobalOccupancy ? sets_ * ways_
+                                                   : ways_;
+    return static_cast<std::uint64_t>(
+        beta * static_cast<double>(unit) + 1e-9);
+}
+
+void
+CacheArray::setShare(ThreadId t, double beta)
+{
+    if (t >= quotas_.size())
+        vpc_panic("capacity share update for thread {} of an array "
+                  "with {} shares", t, quotas_.size());
+    quotas_[t] = quotaFor(beta);
 }
 
 bool
 CacheArray::faultFlipOwner(ThreadId to)
 {
     // Reassigns the real ownership state — owners_ *and* the way
-    // masks, so the devirtualized victim path keeps agreeing with the
-    // oracle's view of the lines — while leaving the occTracked_
+    // masks, so the mask-based victim choice keeps agreeing with the
+    // lines setLines() reports — while leaving the occTracked_
     // counters stale.  That is the injected inconsistency the
     // CapacityAuditor must catch.
     for (std::uint64_t s = 0; s < sets_; ++s) {
@@ -119,76 +137,68 @@ CacheArray::setLines(std::uint64_t index) const
 unsigned
 CacheArray::minStampWay(std::uint64_t s, std::uint64_t mask) const
 {
-    // vec::minIndex64 resolves stamp ties to the lowest way,
-    // reproducing the oracle's ascending-scan first-lowest-way
-    // tie-break exactly.
+    // vec::minIndex64 resolves stamp ties to the lowest way, the same
+    // first-lowest-way tie-break as an ascending scan of the set.
     return vec::minIndex64(&stamps_[s * ways_], mask, ways_);
 }
 
 unsigned
-CacheArray::chooseVictim(std::uint64_t s, ThreadId requester)
+CacheArray::chooseVictim(std::uint64_t s, ThreadId requester) const
 {
     const std::uint64_t full = fullMask();
     const std::uint64_t vm = validMask_[s];
     if (vm != full) {
-        // First invalid way, as every policy's firstInvalid() scan.
+        // Every policy fills the first invalid way.
         return ctz64(~vm & full);
     }
+    // Only threads with both a share and an ownership mask can be
+    // over quota.
+    const ThreadId n = maskThreads_ < quotas_.size()
+        ? maskThreads_ : static_cast<ThreadId>(quotas_.size());
 
-    switch (kind_) {
-      case PolicyKind::Lru:
-        return minStampWay(s, full);
+    switch (policy_) {
+      case CapacityPolicy::Lru:
+        break;
 
-      case PolicyKind::Vpc: {
-        const auto &mgr =
-            static_cast<const VpcCapacityManager &>(*policy_);
-        std::span<const unsigned> quotas = mgr.quotaTable();
+      case CapacityPolicy::Vpc: {
         // Condition 1 (Section 4.2): LRU line among threads holding
-        // more than their way allocation of this set.  Occupancy is
-        // the popcount of the incrementally maintained ownership
-        // mask — no recount.
-        ThreadId n = maskThreads_ < quotas.size()
-            ? maskThreads_ : static_cast<ThreadId>(quotas.size());
+        // more than their way allocation of this set.  Taking the
+        // globally LRU line across all of them is the fairness
+        // refinement.  Occupancy is the popcount of the incrementally
+        // maintained ownership mask -- no recount.
         std::uint64_t elig = 0;
         for (ThreadId j = 0; j < n; ++j) {
             std::uint64_t om = ownerWays_[j * sets_ + s];
-            if (static_cast<unsigned>(std::popcount(om)) > quotas[j])
+            if (static_cast<std::uint64_t>(std::popcount(om)) >
+                quotas_[j])
                 elig |= om;
         }
         if (elig != 0)
             return minStampWay(s, elig);
-        // Condition 2: the requester's own LRU line.  A thread with
-        // no ownership mask has never inserted a line, so the oracle's
-        // requester-owned scan is empty too.
+        // Condition 2: the requester's own LRU line -- the line a
+        // private cache with beta_i of the ways would replace.
         std::uint64_t own = ownerMask(requester, s);
         if (own != 0)
             return minStampWay(s, own);
         vpc_warn("VPC capacity manager: falling back to global LRU");
-        return minStampWay(s, full);
+        break;
       }
 
-      case PolicyKind::GlobalOccupancy: {
-        const auto &mgr =
-            static_cast<const GlobalOccupancyManager &>(*policy_);
-        std::span<const std::uint64_t> quotas = mgr.quotaTable();
-        std::span<const std::uint64_t> occ = mgr.occTable();
-        ThreadId n = maskThreads_ < quotas.size()
-            ? maskThreads_ : static_cast<ThreadId>(quotas.size());
+      case CapacityPolicy::GlobalOccupancy: {
+        // Set-LRU line among threads over their whole-array quota.
+        // No per-set protection: a thread within its quota can still
+        // lose every way of this set (Section 4.3).
         std::uint64_t elig = 0;
         for (ThreadId j = 0; j < n; ++j) {
-            if (occ[j] > quotas[j])
+            if (trackedOccupancy(j) > quotas_[j])
                 elig |= ownerWays_[j * sets_ + s];
         }
         if (elig != 0)
             return minStampWay(s, elig);
-        return minStampWay(s, full);
-      }
-
-      case PolicyKind::Other:
         break;
+      }
     }
-    // Unknown policy: the virtual interface is the implementation.
-    return policy_->victim(setLines(s), requester);
+    return minStampWay(s, full);
 }
 
 Eviction
@@ -203,7 +213,7 @@ CacheArray::insert(Addr addr, ThreadId t, bool dirty)
         forcedVictim = kNoForcedVictim;
     }
     if (w >= ways_)
-        vpc_panic("replacement policy returned way {} of {}", w, ways_);
+        vpc_panic("victim way {} out of {} ways", w, ways_);
     if (victimAudit)
         victimAudit(setLines(s), t, w);
 
@@ -223,7 +233,6 @@ CacheArray::insert(Addr addr, ThreadId t, bool dirty)
                         << indexShift_) | low) * lineBytes_;
         if (ev.owner < maskThreads_)
             ownerWays_[ev.owner * sets_ + s] &= ~bit;
-        policy_->onEvict(ev.owner);
         bumpOcc(ev.owner, -1);
     }
     tags_[li] = tagOf(addr);
@@ -238,7 +247,6 @@ CacheArray::insert(Addr addr, ThreadId t, bool dirty)
         ensureMaskThread(t);
         ownerWays_[t * sets_ + s] |= bit;
     }
-    policy_->onInsert(t);
     bumpOcc(t, +1);
     return ev;
 }
@@ -275,7 +283,6 @@ CacheArray::invalidate(Addr addr)
         ThreadId owner = owners_[s * ways_ + w];
         if (owner < maskThreads_)
             ownerWays_[owner * sets_ + s] &= ~bit;
-        policy_->onEvict(owner);
         bumpOcc(owner, -1);
     }
 }

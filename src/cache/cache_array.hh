@@ -3,20 +3,23 @@
  * Set-associative tag/state storage shared by the L1 and L2 models.
  *
  * CacheArray tracks tags, validity, dirtiness, per-line owning thread
- * and LRU ordering; a ReplacementPolicy chooses victims.  Timing is
- * modeled elsewhere (SharedResource / L1 latency) -- this class is the
- * functional state only.
+ * and LRU ordering, and chooses victims under one CapacityPolicy:
+ * global LRU (the L1 and the unpartitioned baseline), the VPC Capacity
+ * Manager's per-set way quotas (Section 4.2) or the flexible
+ * whole-cache occupancy quotas Section 4.3 contrasts it with.  Timing
+ * is modeled elsewhere (SharedResource / L1 latency) -- this class is
+ * the functional state only.
  *
  * Storage is structure-of-arrays (DESIGN.md 5e): contiguous per-line
  * tag and LRU-stamp words plus per-set packed valid/dirty bitmask
  * words and per-(thread, set) ownership way masks, so lookup() is a
  * stride-1 tag scan and victim selection is bitmask arithmetic over
- * incrementally maintained occupancy state — no per-fill recount and
- * no virtual call on the fill path.  The virtual ReplacementPolicy
- * interface is retained as the debug/verify oracle: the fill path
- * dispatches on PolicyKind instead, and the differential test
- * (tests/cache/soa_oracle_test.cc) proves both agree on every
- * replacement decision.
+ * incrementally maintained occupancy state -- no per-fill recount.
+ * The per-set rules of each policy, written line by line over
+ * CacheLine spans, live in tests/cache/reference_policies.hh as the
+ * oracle; the differential test (tests/cache/soa_oracle_test.cc)
+ * proves this implementation agrees with them on every replacement
+ * decision.
  */
 
 #ifndef VPC_CACHE_CACHE_ARRAY_HH
@@ -24,10 +27,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <span>
 #include <vector>
 
+#include "sim/config.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 #include "sim/vec.hh"
@@ -36,8 +39,8 @@ namespace vpc
 {
 
 /**
- * One cache line's bookkeeping state, as seen by the replacement
- * oracle and the verify layer.  The array itself no longer stores
+ * One cache line's bookkeeping state, as seen by the verify layer and
+ * the reference replacement rules.  The array itself does not store
  * lines in this shape; setLines() materializes them on demand.
  */
 struct CacheLine
@@ -49,22 +52,6 @@ struct CacheLine
     std::uint64_t lastUse = 0; //!< LRU timestamp (higher = more recent)
 };
 
-class ReplacementPolicy;
-
-/**
- * Dispatch tag for the devirtualized fill path.  CacheArray::insert
- * switches on the installed policy's kind instead of making a virtual
- * victim() call; Other falls back to the virtual oracle (custom test
- * policies).
- */
-enum class PolicyKind
-{
-    Other,
-    Lru,
-    Vpc,
-    GlobalOccupancy,
-};
-
 /** Result of an insert: what was evicted, if anything. */
 struct Eviction
 {
@@ -74,7 +61,7 @@ struct Eviction
     ThreadId owner = kInvalidThread;
 };
 
-/** Functional set-associative array with pluggable replacement. */
+/** Functional set-associative array with a capacity policy. */
 class CacheArray
 {
   public:
@@ -82,7 +69,12 @@ class CacheArray
      * @param sets number of sets (power of two)
      * @param ways associativity (at most 64: way masks are one word)
      * @param line_bytes line size (power of two)
-     * @param policy victim selection; takes ownership
+     * @param policy victim selection rule
+     * @param betas capacity share beta_t per thread, each in [0, 1]
+     *        and summing to at most 1; ignored under Lru.  Vpc gives
+     *        thread t floor(beta_t * ways) ways of every set,
+     *        GlobalOccupancy floor(beta_t * sets * ways) lines of the
+     *        whole array.
      * @param index_shift line-number bits to discard before set
      *        indexing: a bank of a 2^n-way interleaved cache only
      *        sees every 2^n-th line, so those bits are constant and
@@ -90,10 +82,9 @@ class CacheArray
      *        1/2^n of the sets unused)
      */
     CacheArray(std::uint64_t sets, unsigned ways, unsigned line_bytes,
-               std::unique_ptr<ReplacementPolicy> policy,
+               CapacityPolicy policy = CapacityPolicy::Lru,
+               const std::vector<double> &betas = {},
                unsigned index_shift = 0);
-
-    ~CacheArray();
 
     CacheArray(const CacheArray &) = delete;
     CacheArray &operator=(const CacheArray &) = delete;
@@ -153,7 +144,7 @@ class CacheArray
 
     /**
      * Install the line containing @p addr, selecting a victim via the
-     * replacement policy.
+     * capacity policy.
      *
      * @param addr byte address
      * @param t owning thread
@@ -178,16 +169,43 @@ class CacheArray
     /**
      * @return the incrementally tracked line count for thread @p t.
      *
-     * Maintained alongside every insert/evict/invalidate; the verify
-     * layer cross-checks it against occupancy()'s full array walk to
-     * prove the bookkeeping never drifts from the actual ownership
-     * state (capacity conservation).
+     * Maintained alongside every insert/evict/invalidate; the
+     * GlobalOccupancy policy compares it against the line quotas, and
+     * the verify layer cross-checks it against occupancy()'s full
+     * array walk to prove the bookkeeping never drifts from the actual
+     * ownership state (capacity conservation).
      */
-    std::uint64_t trackedOccupancy(ThreadId t) const;
+    std::uint64_t
+    trackedOccupancy(ThreadId t) const
+    {
+        return t < occTracked_.size() ? occTracked_[t] : 0;
+    }
+
+    /**
+     * Update thread @p t's capacity share and recompute its quota in
+     * the policy's unit.  The caller validates @p beta (the VPC
+     * controller rejects out-of-range and over-allocating writes).
+     */
+    void setShare(ThreadId t, double beta);
+
+    /** @return thread @p t's per-set way quota under Vpc, else 0. */
+    std::uint64_t
+    wayQuota(ThreadId t) const
+    {
+        return policy_ == CapacityPolicy::Vpc ? quota(t) : 0;
+    }
+
+    /** @return thread @p t's whole-array line quota under
+     *          GlobalOccupancy, else 0. */
+    std::uint64_t
+    lineQuota(ThreadId t) const
+    {
+        return policy_ == CapacityPolicy::GlobalOccupancy ? quota(t) : 0;
+    }
 
     /**
      * @return the lines of set @p index, materialized from the packed
-     * state (verify-layer inspection and the replacement oracle).
+     * state (verify-layer inspection and the reference rules).
      * The span aliases a scratch buffer: it is valid until the next
      * setLines() call or insert() on this array.
      */
@@ -199,7 +217,7 @@ class CacheArray
      * way).  The VPC capacity auditor uses it to check conditions
      * 1 and 2 of Section 4.2 on each replacement decision, and the
      * SoA differential test uses it to replay every decision through
-     * the virtual-policy oracle.
+     * the reference rules.
      */
     using VictimAudit =
         std::function<void(std::span<const CacheLine>, ThreadId,
@@ -215,7 +233,7 @@ class CacheArray
      * @p to without touching the tracked occupancy counters, breaking
      * capacity conservation on purpose.  faultForceNextVictim() makes
      * the next insert evict way @p way regardless of what the
-     * replacement policy says, violating the Section 4.2 victim
+     * capacity policy says, violating the Section 4.2 victim
      * conditions.  Both exist so the auditors can be proven live.
      */
     /// @{
@@ -231,10 +249,6 @@ class CacheArray
 
     /** @return line size in bytes. */
     unsigned lineBytes() const { return lineBytes_; }
-
-    /** @return the replacement policy (for share updates). */
-    ReplacementPolicy &policy() { return *policy_; }
-    const ReplacementPolicy &policy() const { return *policy_; }
 
     /** @return hits observed (touched lookups only). */
     std::uint64_t hitCount() const { return hits.value(); }
@@ -284,8 +298,18 @@ class CacheArray
     /** Way with the smallest LRU stamp among @p mask; @p mask != 0. */
     unsigned minStampWay(std::uint64_t s, std::uint64_t mask) const;
 
-    /** Devirtualized victim choice; must match policy_->victim(). */
-    unsigned chooseVictim(std::uint64_t s, ThreadId requester);
+    /** Thread @p t's quota in the policy's unit; 0 without a share. */
+    std::uint64_t
+    quota(ThreadId t) const
+    {
+        return t < quotas_.size() ? quotas_[t] : 0;
+    }
+
+    /** floor(beta * the policy's quota unit). */
+    std::uint64_t quotaFor(double beta) const;
+
+    /** The capacity policy's victim way in set @p s for @p requester. */
+    unsigned chooseVictim(std::uint64_t s, ThreadId requester) const;
 
     void bumpOcc(ThreadId t, std::int64_t delta);
 
@@ -295,9 +319,7 @@ class CacheArray
     unsigned indexShift_;
     unsigned lineShift_ = 0; //!< log2(lineBytes_)
     unsigned setShift_ = 0;  //!< log2(sets_)
-    std::unique_ptr<ReplacementPolicy> policy_;
-    /** Devirtualized dispatch tag derived from the policy. */
-    PolicyKind kind_ = PolicyKind::Other;
+    CapacityPolicy policy_;
 
     //! @name Structure-of-arrays line state
     //! Per-line words, set-major: line (s, w) sits at s * ways_ + w.
@@ -323,6 +345,11 @@ class CacheArray
     ThreadId maskThreads_ = 0; //!< threads covered by ownerWays_
 
     std::uint64_t useClock = 0;
+    /**
+     * Per-thread quota, empty under Lru: ways of each set under Vpc,
+     * lines of the whole array under GlobalOccupancy.
+     */
+    std::vector<std::uint64_t> quotas_;
     std::vector<std::uint64_t> occTracked_;
     /** Scratch backing setLines() materialization. */
     mutable std::vector<CacheLine> lineScratch_;

@@ -1,6 +1,5 @@
 #include "cache/l1_cache.hh"
 
-#include "cache/replacement.hh"
 #include "sim/debug.hh"
 #include "sim/logging.hh"
 
@@ -11,7 +10,7 @@ L1DCache::L1DCache(const L1Config &cfg_, ThreadId thread_,
                    EventQueue &events_)
     : cfg(cfg_), thread(thread_), events(events_),
       tags(cfg_.sizeBytes / (cfg_.ways * cfg_.lineBytes), cfg_.ways,
-           cfg_.lineBytes, std::make_unique<LruReplacement>()),
+           cfg_.lineBytes),
       mshrs(cfg_.mshrs), prefetcher(cfg_.prefetch, cfg_.lineBytes)
 {}
 

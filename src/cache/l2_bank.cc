@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "arbiter/arbiter_factory.hh"
-#include "cache/replacement.hh"
 #include "sim/debug.hh"
 #include "sim/logging.hh"
 
@@ -13,23 +12,15 @@ namespace vpc
 namespace
 {
 
-/** Build this bank's replacement policy from the configuration. */
-std::unique_ptr<ReplacementPolicy>
-makeCapacityPolicy(const SystemConfig &cfg, unsigned num_banks)
+/** Extract the per-thread capacity shares from the configuration. */
+std::vector<double>
+betaVector(const SystemConfig &cfg)
 {
-    if (cfg.capacityPolicy == CapacityPolicy::Lru)
-        return std::make_unique<LruReplacement>();
     std::vector<double> betas;
     betas.reserve(cfg.shares.size());
     for (const QosShare &s : cfg.shares)
         betas.push_back(s.beta);
-    if (cfg.capacityPolicy == CapacityPolicy::GlobalOccupancy) {
-        std::uint64_t lines_per_bank =
-            cfg.l2.setsPerBank(num_banks) * cfg.l2.ways;
-        return std::make_unique<GlobalOccupancyManager>(
-            betas, lines_per_bank);
-    }
-    return std::make_unique<VpcCapacityManager>(betas, cfg.l2.ways);
+    return betas;
 }
 
 /** Extract the per-thread bandwidth shares from the configuration. */
@@ -51,7 +42,7 @@ L2Bank::L2Bank(const SystemConfig &cfg_, unsigned bank_index,
     : cfg(cfg_), bankIndex(bank_index), numThreads(num_threads),
       events(events_), mem(mem_),
       tags(cfg_.l2.setsPerBank(num_banks), cfg_.l2.ways,
-           cfg_.l2.lineBytes, makeCapacityPolicy(cfg_, num_banks),
+           cfg_.l2.lineBytes, cfg_.capacityPolicy, betaVector(cfg_),
            log2i(num_banks)),
       ports(num_threads),
       sms(static_cast<std::size_t>(num_threads) *
@@ -566,13 +557,12 @@ L2Bank::setResourceShares(ThreadId t, double phi_tag, double phi_data,
 void
 L2Bank::setCapacityShare(ThreadId t, double beta)
 {
-    auto *mgr = dynamic_cast<VpcCapacityManager *>(&tags.policy());
-    if (!mgr) {
-        vpc_warn("capacity share update ignored: bank {} runs "
-                 "unpartitioned LRU", bankIndex);
+    if (cfg.capacityPolicy != CapacityPolicy::Vpc) {
+        vpc_warn("capacity share update ignored: bank {} does not run "
+                 "the VPC capacity manager", bankIndex);
         return;
     }
-    mgr->setShare(t, beta);
+    tags.setShare(t, beta);
 }
 
 } // namespace vpc

@@ -195,7 +195,8 @@ class L2Bank
     /**
      * Update thread @p t's capacity share.  Takes effect through
      * subsequent replacements; resident lines are not flushed.
-     * No-op (with a warning) when the bank runs unpartitioned LRU.
+     * No-op (with a warning) unless the bank runs the VPC capacity
+     * manager: the way quotas are the only shares updated at run time.
      */
     void setCapacityShare(ThreadId t, double beta);
 

@@ -43,13 +43,16 @@ defaultKernelFuse()
     return fuse;
 }
 
-/** Which policy drives the shared L2 resource arbiters. */
+/**
+ * Which policy drives the shared L2 resource arbiters.  The values
+ * are explicit because they travel in run digests and job records; 2
+ * belonged to a retired round-robin policy and must never be reused.
+ */
 enum class ArbiterPolicy
 {
-    Fcfs,      //!< first-come first-serve across all threads
-    RowFcfs,   //!< reads-over-writes, then FCFS (private-cache policy)
-    RoundRobin,//!< cycle round-robin across threads
-    Vpc        //!< fair-queuing VPC arbiter (the paper's contribution)
+    Fcfs = 0,    //!< first-come first-serve across all threads
+    RowFcfs = 1, //!< reads-over-writes, then FCFS (private-cache policy)
+    Vpc = 3      //!< fair-queuing VPC arbiter (the paper's contribution)
 };
 
 /** Which replacement policy manages shared L2 capacity. */
@@ -65,6 +68,35 @@ enum class CapacityPolicy
      */
     GlobalOccupancy
 };
+
+/**
+ * @return whether @p p is an ArbiterPolicy enumerator.  A decoded job
+ * record can carry any integer in a policy field.
+ */
+inline bool
+isArbiterPolicy(ArbiterPolicy p)
+{
+    switch (p) {
+      case ArbiterPolicy::Fcfs:
+      case ArbiterPolicy::RowFcfs:
+      case ArbiterPolicy::Vpc:
+        return true;
+    }
+    return false;
+}
+
+/** @return whether @p p is a CapacityPolicy enumerator. */
+inline bool
+isCapacityPolicy(CapacityPolicy p)
+{
+    switch (p) {
+      case CapacityPolicy::Lru:
+      case CapacityPolicy::Vpc:
+      case CapacityPolicy::GlobalOccupancy:
+        return true;
+    }
+    return false;
+}
 
 /** Per-processor core parameters (Table 1, top half). */
 struct CoreConfig
@@ -320,6 +352,15 @@ struct SystemConfig
     std::string
     check() const
     {
+        if (!isArbiterPolicy(arbiterPolicy))
+            return format("unknown arbiter policy {}",
+                          static_cast<int>(arbiterPolicy));
+        if (!isArbiterPolicy(mem.schedulerPolicy))
+            return format("unknown memory scheduler policy {}",
+                          static_cast<int>(mem.schedulerPolicy));
+        if (!isCapacityPolicy(capacityPolicy))
+            return format("unknown capacity policy {}",
+                          static_cast<int>(capacityPolicy));
         if (numProcessors == 0)
             return "numProcessors must be > 0";
         if (!isPowerOf2(l2.lineBytes) || !isPowerOf2(l2.banks))

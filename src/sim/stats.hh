@@ -3,17 +3,13 @@
  * Lightweight statistics primitives.
  *
  * Every hardware model owns its statistics as plain members of these
- * types; a StatGroup provides named registration so benches and tests
- * can enumerate and print them uniformly.
+ * types.
  */
 
 #ifndef VPC_SIM_STATS_HH
 #define VPC_SIM_STATS_HH
 
 #include <cstdint>
-#include <string>
-#include <utility>
-#include <vector>
 
 #include "sim/types.hh"
 
@@ -121,54 +117,6 @@ class SampleStat
 };
 
 /**
- * Fixed-bucket histogram for latency distributions.
- *
- * Buckets are [0,w), [w,2w), ... plus an overflow bucket.
- */
-class Histogram
-{
-  public:
-    /**
-     * @param bucket_width width of each bucket
-     * @param num_buckets number of regular buckets (an overflow bucket
-     *        is appended automatically)
-     */
-    explicit Histogram(std::uint64_t bucket_width = 8,
-                       std::size_t num_buckets = 32)
-        : width(bucket_width ? bucket_width : 1),
-          buckets(num_buckets + 1, 0)
-    {}
-
-    /** Record one value. */
-    void
-    sample(std::uint64_t v)
-    {
-        std::size_t idx = static_cast<std::size_t>(v / width);
-        if (idx >= buckets.size() - 1)
-            idx = buckets.size() - 1;
-        ++buckets[idx];
-        ++total_;
-    }
-
-    /** @return count in bucket @p i (last bucket = overflow). */
-    std::uint64_t bucketCount(std::size_t i) const { return buckets.at(i); }
-
-    /** @return number of buckets including overflow. */
-    std::size_t numBuckets() const { return buckets.size(); }
-
-    /** @return total samples. */
-    std::uint64_t total() const { return total_; }
-
-    /** @return bucket width. */
-    std::uint64_t bucketWidth() const { return width; }
-
-  private:
-    std::uint64_t width;
-    std::vector<std::uint64_t> buckets;
-    std::uint64_t total_ = 0;
-};
-
-/**
  * Per-run counters maintained by the simulation kernel itself (see
  * Simulator): how many cycles actually executed, how many were
  * fast-forwarded by the quiescence optimization, and how much component
@@ -202,60 +150,6 @@ struct KernelStats
         eventsFired.reset();
         wheelCascades.reset();
     }
-};
-
-/**
- * A named collection of statistic references for uniform reporting.
- *
- * Models register their stats with addCounter()/addUtilization(); the
- * group does not own the stats, it only references them, so it must not
- * outlive the registering model.
- */
-class StatGroup
-{
-  public:
-    /** Register a named counter. */
-    void
-    addCounter(std::string name, const Counter &c)
-    {
-        counters_.emplace_back(std::move(name), &c);
-    }
-
-    /** Register a named utilization stat. */
-    void
-    addUtilization(std::string name, const UtilizationStat &u)
-    {
-        utils_.emplace_back(std::move(name), &u);
-    }
-
-    /** @return all registered counters as (name, value) pairs. */
-    std::vector<std::pair<std::string, std::uint64_t>>
-    counterValues() const
-    {
-        std::vector<std::pair<std::string, std::uint64_t>> out;
-        out.reserve(counters_.size());
-        for (const auto &[name, c] : counters_)
-            out.emplace_back(name, c->value());
-        return out;
-    }
-
-    /**
-     * @param window elapsed cycles
-     * @return all registered utilizations as (name, fraction) pairs
-     */
-    std::vector<std::pair<std::string, double>>
-    utilizationValues(Cycle window) const
-    {
-        std::vector<std::pair<std::string, double>> out;
-        out.reserve(utils_.size());
-        for (const auto &[name, u] : utils_)
-            out.emplace_back(name, u->utilization(window));
-        return out;
-    }
-
-  private:
-    std::vector<std::pair<std::string, const Counter *>> counters_;
-    std::vector<std::pair<std::string, const UtilizationStat *>> utils_;
 };
 
 } // namespace vpc

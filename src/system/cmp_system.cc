@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "arbiter/vpc_arbiter.hh"
-#include "cache/replacement.hh"
 #include "sim/format.hh"
 #include "sim/logging.hh"
 #include "verify/auditors.hh"
@@ -133,10 +132,9 @@ CmpSystem::buildVerifier()
         }
         verifier_->addChecker(std::make_unique<CapacityAuditor>(
             bank.array(), n, format("bank{}", b)));
-        if (const auto *mgr = dynamic_cast<const VpcCapacityManager *>(
-                &bank.array().policy())) {
+        if (cfg.capacityPolicy == CapacityPolicy::Vpc) {
             bank.array().setVictimAudit(
-                makeVpcVictimAudit(*mgr, format("bank{}", b)));
+                makeVpcVictimAudit(bank.array(), format("bank{}", b)));
         }
     }
     if (mem_->sharedChannel()) {
@@ -198,7 +196,7 @@ CmpSystem::buildVerifier()
             t = (t + 1) % n;
             return flipped;
         });
-        if (dynamic_cast<const VpcCapacityManager *>(&array->policy())) {
+        if (cfg.capacityPolicy == CapacityPolicy::Vpc) {
             inj->addFault("force-victim-way",
                           [array, w = 0u, ways = array->numWays()]()
                           mutable {

@@ -134,7 +134,7 @@ simUsage()
         "  --workload=a,b,...   one spec per processor: loads, stores,\n"
         "                       idle, trace:<path>, or a SPEC 2000 name\n"
         "                       (art, mcf, swim, ...)\n"
-        "  --arbiter=POLICY     vpc | fcfs | row | rr   (default fcfs)\n"
+        "  --arbiter=POLICY     vpc | fcfs | row   (default fcfs)\n"
         "  --capacity=POLICY    vpc | lru | occupancy   (default vpc)\n"
         "  --phi=p0,p1,...      bandwidth shares (default: equal)\n"
         "  --beta=b0,b1,...     capacity shares  (default: equal)\n"
@@ -201,8 +201,6 @@ parseSimOptions(const std::vector<std::string> &args,
                 opts.config.arbiterPolicy = ArbiterPolicy::Fcfs;
             } else if (value == "row") {
                 opts.config.arbiterPolicy = ArbiterPolicy::RowFcfs;
-            } else if (value == "rr") {
-                opts.config.arbiterPolicy = ArbiterPolicy::RoundRobin;
             } else {
                 error_out = format("unknown arbiter '{}'", value);
                 return std::nullopt;

@@ -243,17 +243,6 @@ RunCache::recordPath(std::uint64_t key) const
     return dir_ + "/" + name;
 }
 
-std::string
-RunCache::legacyRecordPath(std::uint64_t key) const
-{
-    if (dir_.empty())
-        return "";
-    char name[32];
-    std::snprintf(name, sizeof(name), "%016llx.json",
-                  static_cast<unsigned long long>(key));
-    return dir_ + "/" + name;
-}
-
 bool
 RunCache::loadFromDisk(std::uint64_t key, RunRecord &out) const
 {
@@ -261,11 +250,6 @@ RunCache::loadFromDisk(std::uint64_t key, RunRecord &out) const
     if (path.empty())
         return false;
     std::ifstream in(path);
-    if (!in) {
-        // Pre-shard stores published records flat in the store root;
-        // keep serving them.
-        in.open(legacyRecordPath(key));
-    }
     if (!in)
         return false;
     std::stringstream ss;

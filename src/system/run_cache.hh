@@ -38,9 +38,6 @@
  * `<dir>/<2-hex>/<16-hex>.json` — so directory operations (record
  * opens, janitor scans) stay O(1)-ish under tens of thousands of
  * cached runs instead of degrading with one giant flat directory.
- * The read path also accepts the pre-shard flat layout
- * (`<dir>/<16-hex>.json`), so an old store keeps serving hits; new
- * records are always published sharded.
  *
  * Anything that can alter either the model statistics or the kernel
  * counters is part of the digest (config, shares, verify layer,
@@ -159,11 +156,8 @@ class RunCache
     std::uint64_t storeErrors() const;
 
     /** @return the sharded record path for @p key ("" without a disk
-     *          store).  This is where new records are published. */
+     *          store). */
     std::string recordPath(std::uint64_t key) const;
-
-    /** @return the pre-shard flat path for @p key (read fallback). */
-    std::string legacyRecordPath(std::uint64_t key) const;
 
     /**
      * Janitor: remove `*.tmp.*` files in @p dir — and its 2-hex-named

@@ -140,9 +140,9 @@ CapacityAuditor::check(Cycle now)
 }
 
 CacheArray::VictimAudit
-makeVpcVictimAudit(const VpcCapacityManager &mgr, std::string label)
+makeVpcVictimAudit(const CacheArray &array, std::string label)
 {
-    return [&mgr, label = std::move(label)](
+    return [&array, label = std::move(label)](
                std::span<const CacheLine> set, ThreadId requester,
                unsigned way) {
         const CacheLine &victim = set[way];
@@ -160,12 +160,12 @@ makeVpcVictimAudit(const VpcCapacityManager &mgr, std::string label)
             if (line.valid && line.owner == victim.owner)
                 ++held;
         }
-        if (held <= mgr.quota(victim.owner)) {
+        if (held <= array.wayQuota(victim.owner)) {
             vpc_panic("victim-audit:{}: thread {} evicted thread "
                       "{}'s line while it held {} <= quota {} ways "
                       "of the set (Section 4.2 condition 1)",
                       label, requester, victim.owner, held,
-                      mgr.quota(victim.owner));
+                      array.wayQuota(victim.owner));
         }
     };
 }

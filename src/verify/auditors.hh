@@ -37,7 +37,6 @@
 #include "arbiter/arbiter.hh"
 #include "arbiter/vpc_arbiter.hh"
 #include "cache/cache_array.hh"
-#include "cache/replacement.hh"
 #include "sim/event_queue.hh"
 #include "verify/invariant.hh"
 
@@ -112,16 +111,16 @@ class CapacityAuditor : public InvariantChecker
 
 /**
  * Build a victim-audit tap enforcing Section 4.2's replacement
- * conditions for @p mgr; install on the array via setVictimAudit().
- * Panics when a victim belonging to another thread is taken from a
- * thread at or under its way allocation of the set (condition 1), or
- * when a victim belongs to no thread the manager knows about.
+ * conditions for a Vpc-policy @p array; install it on the same array
+ * via setVictimAudit().  Panics when a victim belonging to another
+ * thread is taken from a thread at or under its way quota of the set
+ * (condition 1), or when a valid victim belongs to no thread.
  *
- * @param mgr the capacity manager whose quotas apply (must outlive
- *        the returned callable)
+ * @param array the array whose way quotas apply (must neither move
+ *        nor die before the returned callable)
  * @param label array name for diagnostics
  */
-CacheArray::VictimAudit makeVpcVictimAudit(const VpcCapacityManager &mgr,
+CacheArray::VictimAudit makeVpcVictimAudit(const CacheArray &array,
                                            std::string label);
 
 /** Audits that the event queue holds no event older than "now". */

@@ -88,7 +88,7 @@ TEST_P(PolicySweep, EveryRequestGrantedExactlyOnce)
 INSTANTIATE_TEST_SUITE_P(
     AllPolicies, PolicySweep,
     ::testing::Values(ArbiterPolicy::Fcfs, ArbiterPolicy::RowFcfs,
-                      ArbiterPolicy::RoundRobin, ArbiterPolicy::Vpc),
+                      ArbiterPolicy::Vpc),
     [](const auto &info) {
         return std::string(arbiterPolicyName(info.param)) == "RoW-FCFS"
             ? std::string("RowFcfs")

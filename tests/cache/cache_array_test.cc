@@ -5,11 +5,9 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <utility>
 
 #include "cache/cache_array.hh"
-#include "cache/replacement.hh"
 
 namespace vpc
 {
@@ -19,8 +17,7 @@ namespace
 CacheArray
 makeArray(std::uint64_t sets = 4, unsigned ways = 2)
 {
-    return CacheArray(sets, ways, 64,
-                      std::make_unique<LruReplacement>());
+    return CacheArray(sets, ways, 64);
 }
 
 TEST(CacheArray, MissThenHit)
@@ -117,7 +114,7 @@ TEST(CacheArray, IndexShiftSkipsInterleaveBits)
     // A bank of a 2-way interleaved cache sees only even line
     // numbers; with index_shift=1 the constant bit is discarded so
     // every set is usable.
-    CacheArray a(4, 1, 64, std::make_unique<LruReplacement>(), 1);
+    CacheArray a(4, 1, 64, CapacityPolicy::Lru, {}, 1);
     // Lines 0 and 8 (addresses 0x0, 0x200): (0>>1)%4 == (8>>1)%4 == 0.
     a.insert(0x0, 0, false);
     Eviction ev = a.insert(0x200, 0, false);
@@ -134,7 +131,7 @@ TEST(CacheArray, BankStrideFillsEverySet)
     // Regression: without the shift, a bank fed every 2nd line left
     // half its sets permanently empty (halving effective capacity).
     const std::uint64_t sets = 8;
-    CacheArray a(sets, 1, 64, std::make_unique<LruReplacement>(), 1);
+    CacheArray a(sets, 1, 64, CapacityPolicy::Lru, {}, 1);
     for (std::uint64_t i = 0; i < sets; ++i) {
         Eviction ev = a.insert(2 * 64 * i, 0, false); // even lines
         EXPECT_FALSE(ev.valid) << "line " << i;
@@ -145,7 +142,7 @@ TEST(CacheArray, BankStrideFillsEverySet)
 
 TEST(CacheArray, EvictionAddressRoundTripsWithShift)
 {
-    CacheArray a(4, 1, 64, std::make_unique<LruReplacement>(), 2);
+    CacheArray a(4, 1, 64, CapacityPolicy::Lru, {}, 2);
     // Bank 3 of a 4-way interleave: line numbers 3, 19 (same set).
     Addr first = 3 * 64;
     Addr second = (3 + 16) * 64;
@@ -164,8 +161,8 @@ TEST(CacheArray, BadGeometryIsFatal)
 TEST(CacheArray, MoveTransfersStateAndLeavesSourceDestructible)
 {
     // Copy is deleted and both move operations are defaulted; the
-    // moved-from array holds only empty vectors and a null policy, so
-    // destroying it (without further use) must be safe.
+    // moved-from array holds only empty vectors, so destroying it
+    // (without further use) must be safe.
     CacheArray a = makeArray(4, 2);
     a.insert(0x1000, 1, true);
     CacheArray b = std::move(a);

@@ -1,6 +1,8 @@
 /**
  * @file
- * Randomized property tests for the VPC Capacity Manager.
+ * Randomized property tests for the VPC Capacity Manager's reference
+ * victim rule (reference_policies.hh), which soa_oracle_test holds
+ * CacheArray to on every replacement.
  *
  * For thousands of randomly generated set states, the victim choice
  * must satisfy the Section 4.2 invariants:
@@ -22,7 +24,7 @@
 #include <limits>
 #include <vector>
 
-#include "cache/replacement.hh"
+#include "reference_policies.hh"
 #include "sim/random.hh"
 
 namespace vpc
@@ -43,7 +45,8 @@ TEST_P(CapacitySweep, VictimSatisfiesAllInvariants)
 {
     const Scenario sc = GetParam();
     const auto threads = static_cast<unsigned>(sc.betas.size());
-    VpcCapacityManager mgr(sc.betas, sc.ways);
+    const std::vector<std::uint64_t> quota =
+        ref::quotas(sc.betas, sc.ways);
     Rng rng(0xbeef + sc.ways, threads);
 
     for (unsigned trial = 0; trial < 4000; ++trial) {
@@ -68,7 +71,7 @@ TEST_P(CapacitySweep, VictimSatisfiesAllInvariants)
                 set[rng.below(sc.ways)].owner = requester;
         }
 
-        unsigned v = mgr.victim(set, requester);
+        unsigned v = ref::vpcVictim(set, requester, quota);
         ASSERT_LT(v, sc.ways);
 
         // (1) invalid first.
@@ -82,12 +85,12 @@ TEST_P(CapacitySweep, VictimSatisfiesAllInvariants)
             ++occ[line.owner];
         bool any_over = false;
         for (ThreadId t = 0; t < threads; ++t)
-            any_over |= occ[t] > mgr.quota(t);
+            any_over |= occ[t] > quota[t];
 
         ThreadId owner = set[v].owner;
         if (owner != requester) {
             // (2) only over-quota threads lose lines to others.
-            EXPECT_GT(occ[owner], mgr.quota(owner));
+            EXPECT_GT(occ[owner], quota[owner]);
         }
         if (!any_over) {
             // (3) private-equivalent: requester's own LRU line.
@@ -104,15 +107,16 @@ TEST_P(CapacitySweep, VictimSatisfiesAllInvariants)
             std::uint64_t best =
                 std::numeric_limits<std::uint64_t>::max();
             for (const CacheLine &line : set) {
-                if (occ[line.owner] > mgr.quota(line.owner))
+                if (occ[line.owner] > quota[line.owner])
                     best = std::min(best, line.lastUse);
             }
-            EXPECT_GT(occ[owner], mgr.quota(owner));
+            EXPECT_GT(occ[owner], quota[owner]);
             EXPECT_EQ(set[v].lastUse, best);
         }
         // (5) protected threads never shrink below quota.
-        if (occ[owner] <= mgr.quota(owner))
+        if (occ[owner] <= quota[owner]) {
             EXPECT_EQ(owner, requester);
+        }
     }
 }
 

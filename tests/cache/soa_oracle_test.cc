@@ -3,22 +3,21 @@
  * Randomized-trace golden differential for the structure-of-arrays
  * CacheArray (DESIGN.md 5e).
  *
- * The SoA rebuild keeps the virtual ReplacementPolicy interface as an
- * oracle while the fill path dispatches on PolicyKind and computes
- * victims with bitmask arithmetic.  This test drives a CacheArray and
- * an array-of-structures reference model (which consults the virtual
- * policy for every victim) through the same randomized trace of
- * lookups, fills, dirty-marks and invalidations, asserting at every
- * step:
+ * CacheArray computes victims with bitmask arithmetic over its
+ * incrementally maintained ownership masks.  This test drives a
+ * CacheArray and an array-of-structures reference model (which applies
+ * the line-by-line rules of reference_policies.hh for every victim)
+ * through the same randomized trace of lookups, fills, dirty-marks and
+ * invalidations, asserting at every step:
  *
  *  - identical victim ways (via the setVictimAudit tap, replayed
- *    through ReplacementPolicy::victim on the pre-overwrite lines);
+ *    through the reference rule on the pre-overwrite lines);
  *  - identical evictions (valid/dirty/address/owner);
  *  - identical per-thread occupancy.
  *
  * Covered policies: global LRU, the VPC capacity manager (including
- * the multi-over-quota fairness refinement), the flexible whole-cache
- * occupancy manager and a PolicyKind::Other fallback policy.
+ * the multi-over-quota fairness refinement and a share update in the
+ * middle of a trace) and the flexible whole-cache occupancy manager.
  *
  * Every differential runs twice — once with vec::forceScalar set (the
  * scalar reference bodies in sim/vec.hh) and once on the compiled
@@ -31,12 +30,12 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cache/cache_array.hh"
-#include "cache/replacement.hh"
+#include "reference_policies.hh"
 #include "sim/random.hh"
 #include "sim/vec.hh"
 
@@ -47,19 +46,38 @@ namespace
 
 /**
  * Array-of-structures reference cache: the pre-SoA CacheArray
- * semantics, with every victim chosen by the virtual policy oracle.
+ * semantics, with every victim chosen by the reference rules from its
+ * own quota table and whole-cache occupancy counts.
  */
 class RefArray
 {
   public:
     RefArray(std::uint64_t sets, unsigned ways, unsigned line_bytes,
-             std::unique_ptr<ReplacementPolicy> policy,
+             CapacityPolicy policy = CapacityPolicy::Lru,
+             const std::vector<double> &betas = {},
              unsigned index_shift = 0)
         : sets_(sets), ways_(ways), lineBytes_(line_bytes),
-          indexShift_(index_shift), policy_(std::move(policy)),
-          lines_(sets * ways)
+          indexShift_(index_shift), policy_(policy),
+          quotas_(ref::quotas(betas, quotaUnit())),
+          occ_(betas.size(), 0), lines_(sets * ways)
     {
     }
+
+    /** The reference rule's victim for a fill of @p set by @p t. */
+    unsigned
+    victim(std::span<const CacheLine> set, ThreadId t) const
+    {
+        return ref::victim(policy_, set, t, quotas_, occ_);
+    }
+
+    /** Thread @p t's new share, in the same quota unit. */
+    void
+    setShare(ThreadId t, double beta)
+    {
+        quotas_.at(t) = ref::quota(beta, quotaUnit());
+    }
+
+    std::uint64_t quota(ThreadId t) const { return quotas_.at(t); }
 
     bool
     lookup(Addr addr, bool touch, ThreadId t)
@@ -84,7 +102,7 @@ class RefArray
     {
         std::uint64_t s = setIndex(addr);
         std::span<const CacheLine> set{&lines_[s * ways_], ways_};
-        unsigned w = policy_->victim(set, t);
+        unsigned w = victim(set, t);
         victim_out = w;
         CacheLine &l = line(s, w);
         Eviction ev;
@@ -96,14 +114,15 @@ class RefArray
                 & ((Addr{1} << indexShift_) - 1);
             ev.lineAddr = (((l.tag * sets_ + s) << indexShift_) | low)
                 * lineBytes_;
-            policy_->onEvict(l.owner);
+            release(l.owner);
         }
         l.tag = tagOf(addr);
         l.valid = true;
         l.dirty = dirty;
         l.owner = t;
         l.lastUse = ++useClock_;
-        policy_->onInsert(t);
+        if (t < occ_.size())
+            ++occ_[t];
         return ev;
     }
 
@@ -134,7 +153,7 @@ class RefArray
             if (l.valid && l.tag == tag) {
                 l.valid = false;
                 l.dirty = false;
-                policy_->onEvict(l.owner);
+                release(l.owner);
                 return;
             }
         }
@@ -153,6 +172,21 @@ class RefArray
 
   private:
     unsigned lineShift() const { return log2i(lineBytes_); }
+
+    /** Ways per set under Vpc, lines of the cache otherwise. */
+    std::uint64_t
+    quotaUnit() const
+    {
+        return policy_ == CapacityPolicy::GlobalOccupancy
+            ? sets_ * ways_ : ways_;
+    }
+
+    void
+    release(ThreadId owner)
+    {
+        if (owner < occ_.size() && occ_[owner] > 0)
+            --occ_[owner];
+    }
 
     std::uint64_t
     setIndex(Addr addr) const
@@ -175,7 +209,9 @@ class RefArray
     unsigned ways_;
     unsigned lineBytes_;
     unsigned indexShift_;
-    std::unique_ptr<ReplacementPolicy> policy_;
+    CapacityPolicy policy_;
+    std::vector<std::uint64_t> quotas_;
+    std::vector<std::uint64_t> occ_; //!< whole-cache lines per thread
     std::vector<CacheLine> lines_;
     std::uint64_t useClock_ = 0;
 };
@@ -209,14 +245,6 @@ forEachVecMode(Body &&body)
     vec::forceScalar = false;
 }
 
-/** LRU behind PolicyKind::Other: the virtual-oracle fill path. */
-class OtherKindLru : public LruReplacement
-{
-  public:
-    PolicyKind kind() const override { return PolicyKind::Other; }
-    std::string name() const override { return "OtherLRU"; }
-};
-
 /**
  * Drive both arrays through @p steps random operations and compare
  * every replacement decision and the occupancy state after each one.
@@ -230,15 +258,15 @@ runDifferential(CacheArray &soa, RefArray &ref, ThreadId threads,
     const Addr span = g.sets * g.ways * g.lineBytes * 4;
 
     // The audit tap sees the SoA array's pre-overwrite lines and its
-    // chosen way; replaying the lines through the virtual oracle of
-    // the *same* array checks kind-dispatch vs virtual agreement on
-    // the identical input, independent of the reference model.
+    // chosen way; replaying those exact lines through the reference
+    // rule checks the mask arithmetic on the identical input, apart
+    // from any divergence in the two arrays' line state.
     unsigned soa_victim = 0;
     soa.setVictimAudit([&](std::span<const CacheLine> set, ThreadId t,
                            unsigned way) {
         soa_victim = way;
-        EXPECT_EQ(soa.policy().victim(set, t), way)
-            << "devirtualized victim diverges from oracle";
+        EXPECT_EQ(ref.victim(set, t), way)
+            << "mask-based victim diverges from the reference rule";
     });
 
     Rng rng(seed);
@@ -294,10 +322,8 @@ TEST(SoaOracle, GlobalLru)
 {
     forEachVecMode([] {
         Geometry g;
-        CacheArray soa(g.sets, g.ways, g.lineBytes,
-                       std::make_unique<LruReplacement>());
-        RefArray ref(g.sets, g.ways, g.lineBytes,
-                     std::make_unique<LruReplacement>());
+        CacheArray soa(g.sets, g.ways, g.lineBytes);
+        RefArray ref(g.sets, g.ways, g.lineBytes);
         runDifferential(soa, ref, 4, g, 0xA11CE, 20'000);
     });
 }
@@ -310,12 +336,10 @@ TEST(SoaOracle, VpcCapacityManager)
     forEachVecMode([] {
         Geometry g;
         std::vector<double> betas = {0.5, 0.25, 0.25, 0.0};
-        CacheArray soa(
-            g.sets, g.ways, g.lineBytes,
-            std::make_unique<VpcCapacityManager>(betas, g.ways));
-        RefArray ref(
-            g.sets, g.ways, g.lineBytes,
-            std::make_unique<VpcCapacityManager>(betas, g.ways));
+        CacheArray soa(g.sets, g.ways, g.lineBytes, CapacityPolicy::Vpc,
+                       betas);
+        RefArray ref(g.sets, g.ways, g.lineBytes, CapacityPolicy::Vpc,
+                     betas);
         runDifferential(soa, ref, 4, g, 0xB0B, 20'000);
     });
 }
@@ -329,13 +353,42 @@ TEST(SoaOracle, VpcFairnessRefinement)
         Geometry g;
         g.ways = 8;
         std::vector<double> betas = {0.125, 0.125, 0.125, 0.125};
-        CacheArray soa(
-            g.sets, g.ways, g.lineBytes,
-            std::make_unique<VpcCapacityManager>(betas, g.ways));
-        RefArray ref(
-            g.sets, g.ways, g.lineBytes,
-            std::make_unique<VpcCapacityManager>(betas, g.ways));
+        CacheArray soa(g.sets, g.ways, g.lineBytes, CapacityPolicy::Vpc,
+                       betas);
+        RefArray ref(g.sets, g.ways, g.lineBytes, CapacityPolicy::Vpc,
+                     betas);
         runDifferential(soa, ref, 4, g, 0xFA12, 20'000);
+    });
+}
+
+TEST(SoaOracle, VpcShareUpdateMidTrace)
+{
+    // A capacity share rewritten halfway through a trace (the VPC
+    // controller's run-time path) must steer the replacements that
+    // follow identically on both sides, not just update the quota:
+    // thread 0 shrinks below the lines it holds and thread 3 grows
+    // from nothing, so who is over quota flips in many sets at once.
+    forEachVecMode([] {
+        Geometry g;
+        g.ways = 8;
+        std::vector<double> betas = {0.5, 0.25, 0.25, 0.0};
+        CacheArray soa(g.sets, g.ways, g.lineBytes, CapacityPolicy::Vpc,
+                       betas);
+        RefArray ref(g.sets, g.ways, g.lineBytes, CapacityPolicy::Vpc,
+                     betas);
+        runDifferential(soa, ref, 4, g, 0x5A4E, 10'000);
+        if (::testing::Test::HasFatalFailure())
+            return;
+        for (auto [t, beta] : {std::pair<ThreadId, double>{0, 0.125},
+                               std::pair<ThreadId, double>{3, 0.375}}) {
+            soa.setShare(t, beta);
+            ref.setShare(t, beta);
+        }
+        for (ThreadId t = 0; t < 4; ++t)
+            ASSERT_EQ(soa.wayQuota(t), ref.quota(t)) << "thread " << t;
+        ASSERT_EQ(soa.wayQuota(0), 1u);
+        ASSERT_EQ(soa.wayQuota(3), 3u);
+        runDifferential(soa, ref, 4, g, 0x5A4F, 10'000);
     });
 }
 
@@ -343,30 +396,12 @@ TEST(SoaOracle, GlobalOccupancyManager)
 {
     forEachVecMode([] {
         Geometry g;
-        std::uint64_t total = g.sets * g.ways;
         std::vector<double> betas = {0.5, 0.25, 0.125, 0.125};
-        CacheArray soa(
-            g.sets, g.ways, g.lineBytes,
-            std::make_unique<GlobalOccupancyManager>(betas, total));
-        RefArray ref(
-            g.sets, g.ways, g.lineBytes,
-            std::make_unique<GlobalOccupancyManager>(betas, total));
-        runDifferential(soa, ref, 4, g, 0xCAFE, 20'000);
-    });
-}
-
-TEST(SoaOracle, OtherKindVirtualFallback)
-{
-    // PolicyKind::Other routes every victim through the virtual
-    // oracle; the vectorized lookup/markDirty/invalidate scans still
-    // run, so this pins their agreement on the fallback fill path.
-    forEachVecMode([] {
-        Geometry g;
         CacheArray soa(g.sets, g.ways, g.lineBytes,
-                       std::make_unique<OtherKindLru>());
+                       CapacityPolicy::GlobalOccupancy, betas);
         RefArray ref(g.sets, g.ways, g.lineBytes,
-                     std::make_unique<OtherKindLru>());
-        runDifferential(soa, ref, 4, g, 0xD1CE, 20'000);
+                     CapacityPolicy::GlobalOccupancy, betas);
+        runDifferential(soa, ref, 4, g, 0xCAFE, 20'000);
     });
 }
 
@@ -378,14 +413,10 @@ TEST(SoaOracle, BankInterleavedIndexShift)
         Geometry g;
         g.indexShift = 2;
         std::vector<double> betas = {0.5, 0.5};
-        CacheArray soa(
-            g.sets, g.ways, g.lineBytes,
-            std::make_unique<VpcCapacityManager>(betas, g.ways),
-            g.indexShift);
-        RefArray ref(
-            g.sets, g.ways, g.lineBytes,
-            std::make_unique<VpcCapacityManager>(betas, g.ways),
-            g.indexShift);
+        CacheArray soa(g.sets, g.ways, g.lineBytes, CapacityPolicy::Vpc,
+                       betas, g.indexShift);
+        RefArray ref(g.sets, g.ways, g.lineBytes, CapacityPolicy::Vpc,
+                     betas, g.indexShift);
         runDifferential(soa, ref, 2, g, 0x5EED, 20'000);
     });
 }
@@ -401,10 +432,8 @@ TEST(SoaOracle, OddWaysLru)
         forEachVecMode([ways] {
             Geometry g;
             g.ways = ways;
-            CacheArray soa(g.sets, g.ways, g.lineBytes,
-                           std::make_unique<LruReplacement>());
-            RefArray ref(g.sets, g.ways, g.lineBytes,
-                         std::make_unique<LruReplacement>());
+            CacheArray soa(g.sets, g.ways, g.lineBytes);
+            RefArray ref(g.sets, g.ways, g.lineBytes);
             runDifferential(soa, ref, 4, g, 0x0DD + ways, 20'000);
         });
     }
@@ -421,12 +450,10 @@ TEST(SoaOracle, OddWaysVpcCapacity)
             Geometry g;
             g.ways = ways;
             std::vector<double> betas = {0.34, 0.33, 0.33, 0.0};
-            CacheArray soa(
-                g.sets, g.ways, g.lineBytes,
-                std::make_unique<VpcCapacityManager>(betas, g.ways));
-            RefArray ref(
-                g.sets, g.ways, g.lineBytes,
-                std::make_unique<VpcCapacityManager>(betas, g.ways));
+            CacheArray soa(g.sets, g.ways, g.lineBytes,
+                           CapacityPolicy::Vpc, betas);
+            RefArray ref(g.sets, g.ways, g.lineBytes,
+                         CapacityPolicy::Vpc, betas);
             runDifferential(soa, ref, 4, g, 0x0DD1 + ways, 20'000);
         });
     }

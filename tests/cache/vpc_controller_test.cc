@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include "arbiter/vpc_arbiter.hh"
-#include "cache/replacement.hh"
 #include "cache/vpc_controller.hh"
 #include "sim/simulator.hh"
 
@@ -126,10 +125,7 @@ TEST_F(VpcControllerTest, CapacityShareReachesTheCapacityManager)
 {
     ASSERT_TRUE(ctrl->writeRegister(
         2, VpcConfigRegister::uniform(0.5, 0.5)));
-    auto *mgr = dynamic_cast<const VpcCapacityManager *>(
-        &l2->bank(0).array().policy());
-    ASSERT_NE(mgr, nullptr);
-    EXPECT_EQ(mgr->quota(2), 16u); // 0.5 * 32 ways
+    EXPECT_EQ(l2->bank(0).array().wayQuota(2), 16u); // 0.5 * 32 ways
 }
 
 } // namespace

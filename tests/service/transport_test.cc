@@ -23,6 +23,7 @@
 #include <vector>
 
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/types.h>
 #include <sys/un.h>
 #include <sys/wait.h>
@@ -417,6 +418,21 @@ TEST(Transport, HardCapOverflowMidFrameIsDroppedSafely)
         frame.append(reinterpret_cast<const char *>(&d), sizeof(d));
     ASSERT_EQ(::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL),
               static_cast<ssize_t>(frame.size()));
+
+    // Stay a non-reading peer until the server gives up on us.  The
+    // server flushes inline as it enqueues, so a client that reads
+    // while the Watch handler runs (a slow server, e.g. under ASan)
+    // keeps the queue under the cap: nothing is dropped and no EOF
+    // ever comes.  Both waits are bounded so a regression fails
+    // instead of hanging.
+    auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (server.stats().dropped.load() < 1 &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    timeval rcv_timeout{10, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &rcv_timeout,
+                 sizeof(rcv_timeout));
 
     // Drain whatever the server managed to push: it must end in EOF
     // (dropped connection), never a wedged or crashed server.

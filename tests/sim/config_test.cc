@@ -174,6 +174,41 @@ TEST(SystemConfig, NonPowerOf2LineSizeFatal)
                 "powers of 2");
 }
 
+// A decoded job record can carry any integer in a policy field;
+// check() must reject it instead of letting the arbiter factory panic.
+// 2 is the retired round-robin arbiter value.
+
+TEST(SystemConfig, UnknownArbiterPolicyRejected)
+{
+    for (int v : {2, 9}) {
+        SystemConfig cfg;
+        cfg.normalize();
+        cfg.arbiterPolicy = static_cast<ArbiterPolicy>(v);
+        EXPECT_NE(cfg.check().find("unknown arbiter policy"),
+                  std::string::npos) << "value " << v;
+    }
+}
+
+TEST(SystemConfig, UnknownSchedulerPolicyRejected)
+{
+    for (int v : {2, 9}) {
+        SystemConfig cfg;
+        cfg.normalize();
+        cfg.mem.schedulerPolicy = static_cast<ArbiterPolicy>(v);
+        EXPECT_NE(cfg.check().find("unknown memory scheduler policy"),
+                  std::string::npos) << "value " << v;
+    }
+}
+
+TEST(SystemConfig, UnknownCapacityPolicyRejected)
+{
+    SystemConfig cfg;
+    cfg.normalize();
+    cfg.capacityPolicy = static_cast<CapacityPolicy>(3);
+    EXPECT_NE(cfg.check().find("unknown capacity policy"),
+              std::string::npos);
+}
+
 TEST(Types, LineAlignAndLog2)
 {
     EXPECT_EQ(lineAlign(0x12345, 64), 0x12340u);

@@ -55,38 +55,5 @@ TEST(SampleStat, TracksMeanMinMax)
     EXPECT_DOUBLE_EQ(s.mean(), 0.0);
 }
 
-TEST(Histogram, BucketsAndOverflow)
-{
-    Histogram h(10, 4); // buckets [0,10) ... [30,40) + overflow
-    h.sample(0);
-    h.sample(9);
-    h.sample(10);
-    h.sample(39);
-    h.sample(1000);
-    EXPECT_EQ(h.total(), 5u);
-    EXPECT_EQ(h.bucketCount(0), 2u);
-    EXPECT_EQ(h.bucketCount(1), 1u);
-    EXPECT_EQ(h.bucketCount(3), 1u);
-    EXPECT_EQ(h.bucketCount(4), 1u); // overflow
-}
-
-TEST(StatGroup, EnumeratesRegisteredStats)
-{
-    Counter c;
-    UtilizationStat u;
-    c.inc(7);
-    u.addBusy(30);
-    StatGroup g;
-    g.addCounter("c", c);
-    g.addUtilization("u", u);
-    auto counters = g.counterValues();
-    ASSERT_EQ(counters.size(), 1u);
-    EXPECT_EQ(counters[0].first, "c");
-    EXPECT_EQ(counters[0].second, 7u);
-    auto utils = g.utilizationValues(60);
-    ASSERT_EQ(utils.size(), 1u);
-    EXPECT_DOUBLE_EQ(utils[0].second, 0.5);
-}
-
 } // namespace
 } // namespace vpc

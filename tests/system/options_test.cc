@@ -74,6 +74,10 @@ TEST(SimOptions, ErrorsAreReported)
     EXPECT_FALSE(parseSimOptions(v, err));
     EXPECT_NE(err.find("unknown arbiter"), std::string::npos);
 
+    v = {"--workload=loads", "--arbiter=rr"}; // a retired policy
+    EXPECT_FALSE(parseSimOptions(v, err));
+    EXPECT_NE(err.find("unknown arbiter 'rr'"), std::string::npos);
+
     v = {"--workload=loads", "--phi=0.5,0.5"};
     EXPECT_FALSE(parseSimOptions(v, err));
     EXPECT_NE(err.find("entries"), std::string::npos);

@@ -202,31 +202,6 @@ TEST(RunCacheTest, RecordsArePublishedIntoShardedFanout)
     std::snprintf(want, sizeof(want), "%02llx",
                   static_cast<unsigned long long>(key >> 56));
     EXPECT_EQ(shard, want);
-    // And nothing was published flat in the store root.
-    EXPECT_FALSE(
-        std::filesystem::exists(writer.legacyRecordPath(key)));
-    std::filesystem::remove_all(dir);
-}
-
-TEST(RunCacheTest, LegacyFlatLayoutRecordsStillServeHits)
-{
-    std::string dir = testDir("legacy_flat");
-    RunJob job = smallJob();
-    std::uint64_t key = runDigest(job);
-
-    // Publish sharded, then relocate the record to where a pre-shard
-    // store would have put it.
-    RunCache writer(dir);
-    RunResult computed = runAndMeasureCached(job, &writer);
-    ASSERT_FALSE(computed.cacheHit);
-    std::filesystem::rename(writer.recordPath(key),
-                            writer.legacyRecordPath(key));
-
-    RunCache reader(dir);
-    RunRecord replayed;
-    ASSERT_TRUE(reader.probe(key, replayed));
-    EXPECT_EQ(reader.diskHits(), 1u);
-    expectSameRecord(computed.record, replayed);
     std::filesystem::remove_all(dir);
 }
 

@@ -106,12 +106,6 @@ TEST(SkipDifferential, TwoThreadRowFcfs)
                     {"mesa", "mcf"}, "row-2");
 }
 
-TEST(SkipDifferential, RoundRobinArbiter)
-{
-    expectIdentical(makeBaselineConfig(2, ArbiterPolicy::RoundRobin),
-                    {"gzip", "twolf"}, "rr-2");
-}
-
 TEST(SkipDifferential, UniprocessorPrivateMachine)
 {
     // The experiment harness's target-IPC machine: a single thread on

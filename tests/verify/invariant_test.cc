@@ -16,11 +16,9 @@
 #include <vector>
 
 #include "arbiter/fcfs_arbiter.hh"
-#include "arbiter/round_robin_arbiter.hh"
 #include "arbiter/row_fcfs_arbiter.hh"
 #include "arbiter/vpc_arbiter.hh"
 #include "cache/cache_array.hh"
-#include "cache/replacement.hh"
 #include "sim/event_queue.hh"
 #include "system/cmp_system.hh"
 #include "system/experiment.hh"
@@ -142,11 +140,6 @@ TEST(ConservationAuditorDeath, CatchesDropInRowFcfs)
     expectConservationCatchesDrop<RowFcfsArbiter>();
 }
 
-TEST(ConservationAuditorDeath, CatchesDropInRoundRobin)
-{
-    expectConservationCatchesDrop<RoundRobinArbiter>();
-}
-
 TEST(ConservationAuditorDeath, CatchesDropInVpc)
 {
     VpcArbiter arb(2, 4, 2, {0.5, 0.5});
@@ -164,7 +157,7 @@ TEST(ConservationAuditorDeath, CatchesDropInVpc)
 
 TEST(CapacityAuditorDeath, CatchesOwnershipFlip)
 {
-    CacheArray arr(4, 2, 64, std::make_unique<LruReplacement>());
+    CacheArray arr(4, 2, 64);
     arr.insert(0, 0, false);
     arr.insert(4 * 64, 1, false);
     CapacityAuditor aud(arr, 2, "arr", /*walk_period=*/1);
@@ -175,11 +168,8 @@ TEST(CapacityAuditorDeath, CatchesOwnershipFlip)
 
 TEST(VictimAuditDeath, CatchesQuotaViolatingEviction)
 {
-    auto policy = std::make_unique<VpcCapacityManager>(
-        std::vector<double>{0.5, 0.5}, 4);
-    const VpcCapacityManager &mgr = *policy;
-    CacheArray arr(4, 4, 64, std::move(policy));
-    arr.setVictimAudit(makeVpcVictimAudit(mgr, "arr"));
+    CacheArray arr(4, 4, 64, CapacityPolicy::Vpc, {0.5, 0.5});
+    arr.setVictimAudit(makeVpcVictimAudit(arr, "arr"));
 
     // Fill set 0: each thread holds exactly its quota (2 ways).
     constexpr Addr kSetStride = 4 * 64;
