@@ -122,5 +122,30 @@ TEST(JobCodec, RejectsInsaneConfigWithoutDying)
     EXPECT_FALSE(decodeJob(text, out));
 }
 
+TEST(JobCodec, RejectsZeroBusWidthWithoutDying)
+{
+    // A record whose l2.busBytes is 0 parses, but a system built from
+    // it divides by zero in the L2 bank constructor; the daemon runs
+    // decoded jobs in-process, so decode must reject it.  The field is
+    // the one cfg element that differs between a 16 B and a 32 B bus.
+    RunJob job = sampleJob();
+    std::string text = encodeJob(job);
+    job.config.l2.busBytes = 32;
+    std::string wide = encodeJob(job);
+    // The digests differ in front of the array, so align on it.
+    std::size_t pos = text.find("\"cfg\": [");
+    std::size_t wide_pos = wide.find("\"cfg\": [");
+    ASSERT_NE(pos, std::string::npos);
+    ASSERT_NE(wide_pos, std::string::npos);
+    while (text[pos] == wide[wide_pos]) {
+        ++pos;
+        ++wide_pos;
+    }
+    ASSERT_EQ(text.compare(pos, 4, "16, "), 0);
+    text.replace(pos, 2, "0");
+    RunJob out;
+    EXPECT_FALSE(decodeJob(text, out));
+}
+
 } // namespace
 } // namespace vpc
