@@ -4,7 +4,6 @@
 #include <fstream>
 #include <thread>
 
-#include "sim/config.hh"
 #include "sim/format.hh"
 #include "sim/logging.hh"
 #include "sim/vec.hh"
@@ -108,7 +107,6 @@ BenchReporter::machineInfo()
         m.compiler = "unknown";
 #endif
         m.simd = vec::kIsaName;
-        m.fuse = defaultKernelFuse();
         return m;
     }();
     return info;
@@ -233,8 +231,7 @@ BenchReporter::writeJson(const std::string &path) const
                  "    \"cpu_model\": \"%s\",\n"
                  "    \"loadavg_1m\": %.2f,\n"
                  "    \"compiler\": \"%s\",\n"
-                 "    \"simd\": \"%s\",\n"
-                 "    \"fuse\": %s\n"
+                 "    \"simd\": \"%s\"\n"
                  "  }",
                  name_.c_str(), wallMs(),
                  static_cast<unsigned long long>(runs_),
@@ -253,8 +250,7 @@ BenchReporter::writeJson(const std::string &path) const
                  m.nproc,
                  jsonEscape(m.cpuModel).c_str(), m.loadavg1m,
                  jsonEscape(m.compiler).c_str(),
-                 jsonEscape(m.simd).c_str(),
-                 m.fuse ? "true" : "false");
+                 jsonEscape(m.simd).c_str());
     if (haveProfile_) {
         std::uint64_t ev_total = profile_.totalEventNs();
         double attributed = ev_total == 0

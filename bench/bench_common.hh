@@ -150,11 +150,10 @@ class BenchReporter
      * Host machine and toolchain description, captured once per
      * process: processor count, CPU model string (from /proc/cpuinfo
      * when available), the 1-minute load average, the compiler
-     * id/version this binary was built with, the SoA-scan instruction
-     * set compiled in (src/sim/vec.hh) and whether fixed-latency
-     * event fusion is active (VPC_NO_FUSE).  Written into every bench
-     * JSON so cross-machine *and* cross-toolchain/flag comparisons
-     * are detectable (see tools/bench_diff).
+     * id/version this binary was built with and the SoA-scan
+     * instruction set compiled in (src/sim/vec.hh).  Written into
+     * every bench JSON so cross-machine *and* cross-toolchain/flag
+     * comparisons are detectable (see tools/bench_diff).
      */
     struct MachineInfo
     {
@@ -163,7 +162,6 @@ class BenchReporter
         double loadavg1m = -1.0; //!< negative when undeterminable
         std::string compiler; //!< e.g. "gcc 12.2.0"
         std::string simd;     //!< vec::kIsaName ("avx2", "scalar", ...)
-        bool fuse = true;     //!< defaultKernelFuse() at probe time
     };
 
     /** @return the host description (probed on first call). */

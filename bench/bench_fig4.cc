@@ -42,13 +42,15 @@ main()
     SystemConfig cfg = makeBaselineConfig(1, ArbiterPolicy::RowFcfs);
     Simulator sim;
     MemoryController mc(cfg.mem, 1, 64, sim.events());
+    L2Bank::ResponseLane respLane(/*counted=*/true);
     std::vector<std::unique_ptr<L2Bank>> banks;
     std::vector<BankTicker> tickers(2);
     std::vector<StageTimes> times(2);
 
     for (unsigned b = 0; b < 2; ++b) {
         banks.push_back(std::make_unique<L2Bank>(cfg, b, 2, 1,
-                                                 sim.events(), mc));
+                                                 sim.events(), mc,
+                                                 respLane));
         tickers[b].bank = banks[b].get();
         sim.addTicking(&tickers[b]);
         banks[b]->setResponseHandler(
@@ -57,6 +59,7 @@ main()
             });
     }
     sim.addTicking(&mc);
+    sim.addFusedChain(&respLane);
 
     // Warm both lines so the measured accesses are hits.
     banks[0]->loadArrive(0, 0x0, 0);

@@ -35,8 +35,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <string>
@@ -332,9 +334,15 @@ main(int argc, char **argv)
     // one the >=1000-jobs contract binds.
     const std::size_t kSpoolThroughputJobs = smoke ? 200 : 1'500;
 
+    // A fresh directory per run, so concurrent runs never share a
+    // spool or delete each other's; only this one is removed at exit.
     std::string base = std::filesystem::temp_directory_path() /
-                       "vpc_bench_saturation";
-    std::filesystem::remove_all(base);
+                       "vpc_bench_saturation.XXXXXX";
+    if (::mkdtemp(base.data()) == nullptr) {
+        std::fprintf(stderr, "cannot create %s: %s\n", base.c_str(),
+                     std::strerror(errno));
+        return 1;
+    }
     std::string socketDir = base + "/socket";
     std::string spoolDir = base + "/spool";
 

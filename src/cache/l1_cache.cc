@@ -39,7 +39,7 @@ L1DCache::load(Addr addr, Cycle now, LoadCallback cb)
 {
     if (probeTouch(addr)) {
         completeHit();
-        scheduleHit(now, std::move(cb));
+        events.schedule(now + cfg.hitLatency, std::move(cb));
         return LoadResult::Hit;
     }
     return loadMiss(addr, now, std::move(cb));

@@ -21,7 +21,6 @@
 #include "cache/prefetcher.hh"
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
-#include "sim/fused_chain.hh"
 #include "sim/stats.hh"
 
 namespace vpc
@@ -70,10 +69,10 @@ class L1DCache
      *
      * The CPU probes once with probeTouch() — exactly the tag/LRU/
      * statistics effects of load()'s internal lookup — and then either
-     * completes the hit itself (completeHit() plus its fused hit lane,
-     * or scheduleHit() on the event path) or takes the miss path via
-     * loadMiss(), which skips the redundant re-probe.  load() remains
-     * the single-call form for standalone users.
+     * completes the hit itself (completeHit() plus its fused hit lane)
+     * or takes the miss path via loadMiss(), which skips the redundant
+     * re-probe.  load() remains the single-call form for standalone
+     * users; its hit completion is an ordinary event.
      */
     /// @{
     /** Touching probe: @return hit, with load()'s lookup side effects. */
@@ -81,13 +80,6 @@ class L1DCache
 
     /** Count a hit whose completion the caller delivers (fused lane). */
     void completeHit() { hits.inc(); }
-
-    /** Schedule the unfused hit completion at the hit latency. */
-    void
-    scheduleHit(Cycle now, LoadCallback cb)
-    {
-        events.schedule(now + cfg.hitLatency, std::move(cb));
-    }
 
     /** @return the constant hit latency (the fused lane's due offset). */
     Cycle hitLatency() const { return cfg.hitLatency; }

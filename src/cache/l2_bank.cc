@@ -39,7 +39,8 @@ phiVector(const SystemConfig &cfg)
 
 L2Bank::L2Bank(const SystemConfig &cfg_, unsigned bank_index,
                unsigned num_banks, unsigned num_threads,
-               EventQueue &events_, MemoryController &mem_)
+               EventQueue &events_, MemoryController &mem_,
+               ResponseLane &resp_lane)
     : cfg(cfg_), bankIndex(bank_index), numThreads(num_threads),
       events(events_), mem(mem_),
       tags(cfg_.l2.setsPerBank(num_banks), cfg_.l2.ways,
@@ -49,7 +50,7 @@ L2Bank::L2Bank(const SystemConfig &cfg_, unsigned bank_index,
       sms(static_cast<std::size_t>(num_threads) *
           cfg_.l2.stateMachinesPerThread),
       smLines(sms.size(), kIdleLine),
-      smsInUse(num_threads, 0)
+      smsInUse(num_threads, 0), respLane(resp_lane)
 {
     sgbs.reserve(num_threads);
     for (unsigned t = 0; t < num_threads; ++t) {
@@ -111,15 +112,8 @@ L2Bank::L2Bank(const SystemConfig &cfg_, unsigned bank_index,
             ThreadId t = sms.at(req.id).thread;
             Addr la = smLines[req.id];
             Cycle critical = start + cfg.l2.busBeatCycles;
-            if (respLane != nullptr) {
-                respLane->push(critical, events.profileContext(),
-                               RespMsg{this, t, la});
-            } else {
-                events.schedule(critical, [this, t, la]() {
-                    if (respond)
-                        respond(t, la);
-                });
-            }
+            respLane.push(critical, events.profileContext(),
+                          RespMsg{this, t, la});
             events.schedule(done, [this, idx = req.id, start, done]() {
                 busDone(idx, start, done);
             });

@@ -62,28 +62,14 @@ class L2Bank
         std::function<void(ThreadId t, Addr line_addr)>;
 
     /**
-     * @param cfg full system configuration (L2 + QoS shares)
-     * @param bank_index this bank's index
-     * @param num_banks total banks (for set sizing)
-     * @param num_threads hardware threads sharing the bank
-     * @param events shared event queue
-     * @param mem memory controller for misses and writebacks
-     */
-    L2Bank(const SystemConfig &cfg, unsigned bank_index,
-           unsigned num_banks, unsigned num_threads,
-           EventQueue &events, MemoryController &mem);
-
-    /** Install the load-response path back to the cores. */
-    void setResponseHandler(ResponseHandler h);
-
-    /**
      * @name Fused response lane
      *
      * The critical word always trails the bus grant by exactly
      * busBeatCycles and the response handler is a pure L1/core-state
-     * write, so the lane replays the event path exactly from plain
-     * (bank, thread, line) records — no closure.  Counted: drains add
-     * to eventsFired as the response events they replace would.
+     * write, so the response hop is a plain (bank, thread, line)
+     * record on a lane — no closure.  Counted: drains add to
+     * eventsFired.  One lane serves every bank of an L2; its owner
+     * registers it with the kernel (Simulator::addFusedChain).
      */
     /// @{
     struct RespMsg
@@ -101,9 +87,24 @@ class L2Bank
         }
     };
     using ResponseLane = DataLane<RespMsg, RespSink>;
+    /// @}
 
-    /** Route responses through @p lane (nullptr to revert). */
-    void setResponseLane(ResponseLane *lane) { respLane = lane; }
+    /**
+     * @param cfg full system configuration (L2 + QoS shares)
+     * @param bank_index this bank's index
+     * @param num_banks total banks (for set sizing)
+     * @param num_threads hardware threads sharing the bank
+     * @param events shared event queue
+     * @param mem memory controller for misses and writebacks
+     * @param resp_lane critical-word response lane (not owned)
+     */
+    L2Bank(const SystemConfig &cfg, unsigned bank_index,
+           unsigned num_banks, unsigned num_threads,
+           EventQueue &events, MemoryController &mem,
+           ResponseLane &resp_lane);
+
+    /** Install the load-response path back to the cores. */
+    void setResponseHandler(ResponseHandler h);
 
     /** Invoke the response handler (a drained lane record's body). */
     void
@@ -112,7 +113,6 @@ class L2Bank
         if (respond)
             respond(t, line_addr);
     }
-    /// @}
 
     /**
      * Reserve store-buffer space for a store entering the crossbar.
@@ -315,7 +315,7 @@ class L2Bank
     ThreadId admissionRR = 0;
     SeqNum nextSeq = 0;
     ResponseHandler respond;
-    ResponseLane *respLane = nullptr; //!< fused response path
+    ResponseLane &respLane;
 };
 
 } // namespace vpc

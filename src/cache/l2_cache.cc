@@ -14,7 +14,8 @@ L2Cache::L2Cache(const SystemConfig &cfg_, EventQueue &events_,
     banks.reserve(cfg.l2.banks);
     for (unsigned b = 0; b < cfg.l2.banks; ++b) {
         banks.push_back(std::make_unique<L2Bank>(
-            cfg, b, cfg.l2.banks, cfg.numProcessors, events, mem));
+            cfg, b, cfg.l2.banks, cfg.numProcessors, events, mem,
+            respLane_));
     }
 }
 
@@ -43,16 +44,9 @@ L2Cache::store(ThreadId t, Addr addr, Cycle now)
     L2Bank &bank = *banks[bankOf(addr)];
     if (!bank.tryReserveStore(t))
         return false;
-    Cycle arrive = now + cfg.l2.interconnectLatency;
-    if (transitLane != nullptr) {
-        transitLane->push(arrive, events.profileContext(),
-                          TransitMsg{&bank, line, t,
-                                     /*isStore=*/true, false});
-    } else {
-        events.schedule(arrive, [&bank, t, line, arrive]() {
-            bank.storeArrive(t, line, arrive);
-        });
-    }
+    transitLane_.push(now + cfg.l2.interconnectLatency,
+                      events.profileContext(),
+                      TransitMsg{&bank, line, t, /*isStore=*/true, false});
     return true;
 }
 
@@ -61,16 +55,10 @@ L2Cache::load(ThreadId t, Addr addr, Cycle now, bool prefetch)
 {
     Addr line = lineAlign(addr, cfg.l2.lineBytes);
     L2Bank &bank = *banks[bankOf(addr)];
-    Cycle arrive = now + cfg.l2.interconnectLatency;
-    if (transitLane != nullptr) {
-        transitLane->push(arrive, events.profileContext(),
-                          TransitMsg{&bank, line, t,
-                                     /*isStore=*/false, prefetch});
-    } else {
-        events.schedule(arrive, [&bank, t, line, arrive, prefetch]() {
-            bank.loadArrive(t, line, arrive, prefetch);
-        });
-    }
+    transitLane_.push(now + cfg.l2.interconnectLatency,
+                      events.profileContext(),
+                      TransitMsg{&bank, line, t, /*isStore=*/false,
+                                 prefetch});
 }
 
 void

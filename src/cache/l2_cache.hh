@@ -43,13 +43,15 @@ class L2Cache : public Ticking
     void setResponseHandler(ResponseHandler h);
 
     /**
-     * @name Fused crossbar transit lane
+     * @name Fused lanes
      *
      * The crossbar latency is a configuration constant and arrivals
-     * are pure bank-queue writes consumed by later bank ticks, so the
-     * lane replays the event path exactly from plain (bank, line,
-     * thread, kind) records — no closure.  Counted: drains add to
-     * eventsFired as the transit events they replace would.
+     * are pure bank-queue writes consumed by later bank ticks, so a
+     * transit is a plain (bank, line, thread, kind) record on a lane —
+     * no closure.  Counted: drains add to eventsFired.  The L2 owns
+     * the transit lane and the response lane its banks share; the
+     * system builder registers both with the kernel
+     * (Simulator::addFusedChain), transit first.
      */
     /// @{
     struct TransitMsg
@@ -74,8 +76,11 @@ class L2Cache : public Ticking
     };
     using TransitLane = DataLane<TransitMsg, TransitSink>;
 
-    /** Route crossbar transits through @p lane (nullptr to revert). */
-    void setTransitLane(TransitLane *lane) { transitLane = lane; }
+    /** @return the crossbar transit lane, for kernel registration. */
+    FusedChain *transitChain() { return &transitLane_; }
+
+    /** @return the banks' response lane, for kernel registration. */
+    FusedChain *responseChain() { return &respLane_; }
     /// @}
 
     /**
@@ -137,8 +142,11 @@ class L2Cache : public Ticking
   private:
     const SystemConfig &cfg;
     EventQueue &events;
+    // The lanes are declared before the banks, which hold references
+    // to the response lane.
+    TransitLane transitLane_{/*counted=*/true};
+    L2Bank::ResponseLane respLane_{/*counted=*/true};
     std::vector<std::unique_ptr<L2Bank>> banks;
-    TransitLane *transitLane = nullptr; //!< fused crossbar transit
 };
 
 } // namespace vpc

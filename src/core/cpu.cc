@@ -142,12 +142,7 @@ Cpu::issueStage(Cycle now)
         }
         if (hit) {
             l1.completeHit();
-            if (hitFused_)
-                hitLane_.push(now + l1.hitLatency(), e.seq);
-            else
-                l1.scheduleHit(now, [this, seq = e.seq]() {
-                    complete(seq);
-                });
+            hitLane_.push(now + l1.hitLatency(), e.seq);
         } else if (l1.loadMiss(e.op.addr, now,
                                [this, seq = e.seq]() {
                                    complete(seq);

@@ -98,13 +98,11 @@ class Cpu : public Ticking
      * @name Fused L1 hit completion lane
      *
      * The hit hop is (constant hitLatency, one SeqNum to complete) —
-     * pure data, no closure.  The system builder registers hitChain()
-     * with the kernel (Simulator::addFusedChain) and flips
-     * setHitFused(true);
-     * issueStage then pushes (due, seq) records instead of scheduling
-     * an event, and the kernel's drain completes them the cycle the
-     * event would have fired.  Left unfused (unit tests, VPC_NO_FUSE)
-     * the hit completion is an ordinary event via L1::scheduleHit.
+     * pure data, no closure.  issueStage pushes a (due, seq) record
+     * for every L1 hit, and the kernel's drain completes it at the
+     * due cycle.  The system builder must register hitChain() with
+     * the kernel (Simulator::addFusedChain); an unregistered lane is
+     * never drained, so its hits never complete.
      */
     /// @{
     /** Drained-record consumer: completes the recorded load. */
@@ -121,9 +119,6 @@ class Cpu : public Ticking
 
     /** @return the lane, for kernel registration (uncounted). */
     FusedChain *hitChain() { return &hitLane_; }
-
-    /** Route hit completions through the lane (default: events). */
-    void setHitFused(bool on) { hitFused_ = on; }
     /// @}
 
   private:
@@ -201,7 +196,6 @@ class Cpu : public Ticking
     std::vector<SeqNum> waitQ_;
 
     HitLane hitLane_{/*counted=*/false, HitSink{this}};
-    bool hitFused_ = false; //!< hit completions ride hitLane_
 
     Counter retired;
     Counter loads;

@@ -88,7 +88,6 @@ walkConfigScalars(U &&u, C &cfg)
     u(v.faultSeed);
 
     u(cfg.kernelSkip);
-    u(cfg.kernelFuse);
     u(cfg.allowUnallocatedShares);
     u(cfg.vpcIntraThreadRow);
     u(cfg.vpcIdleReset);

@@ -29,7 +29,7 @@ namespace vpc
 {
 
 /** Bump when the encoded field set changes. */
-constexpr std::uint64_t kJobCodecSchema = 3;
+constexpr std::uint64_t kJobCodecSchema = 4;
 
 /**
  * @return the job file text for @p job (validate() is applied first,

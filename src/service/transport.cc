@@ -1,21 +1,14 @@
 #include "service/transport.hh"
 
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 
 #include <fcntl.h>
 #include <poll.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
-
-#if defined(__linux__)
-#include <sys/epoll.h>
-#define VPC_HAVE_EPOLL 1
-#else
-#define VPC_HAVE_EPOLL 0
-#endif
 
 #include "sim/logging.hh"
 
@@ -161,13 +154,6 @@ fillAddr(const std::string &path, sockaddr_un &addr)
     return true;
 }
 
-bool
-pollBackendForced()
-{
-    const char *env = std::getenv("VPC_TRANSPORT_POLL");
-    return env != nullptr && env[0] != '\0' && env[0] != '0';
-}
-
 } // namespace
 
 std::string
@@ -178,7 +164,7 @@ defaultSocketPath(const std::string &spool_dir)
 
 /*
  * ---------------------------------------------------------------
- * Poller: epoll where available, poll(2) everywhere (and on demand).
+ * Poller: epoll(7) over the listener, the wake pipe and every peer.
  * ---------------------------------------------------------------
  */
 
@@ -192,41 +178,22 @@ struct TransportServer::Poller
         bool error;
     };
 
-    explicit Poller(bool force_poll)
-    {
-#if VPC_HAVE_EPOLL
-        usePoll_ = force_poll || pollBackendForced();
-        if (!usePoll_) {
-            epfd_ = ::epoll_create1(EPOLL_CLOEXEC);
-            if (epfd_ < 0)
-                usePoll_ = true;
-        }
-#else
-        (void)force_poll;
-        usePoll_ = true;
-#endif
-    }
+    Poller() : epfd_(::epoll_create1(EPOLL_CLOEXEC)) {}
 
     ~Poller()
     {
-#if VPC_HAVE_EPOLL
         if (epfd_ >= 0)
             ::close(epfd_);
-#endif
     }
+
+    /** @return whether the epoll instance exists. */
+    bool ok() const { return epfd_ >= 0; }
 
     void
     add(int fd, bool rd, bool wr)
     {
         interest_[fd] = {rd, wr};
-#if VPC_HAVE_EPOLL
-        if (!usePoll_) {
-            epoll_event ev{};
-            ev.events = events(rd, wr);
-            ev.data.fd = fd;
-            ::epoll_ctl(epfd_, EPOLL_CTL_ADD, fd, &ev);
-        }
-#endif
+        ctl(EPOLL_CTL_ADD, fd, rd, wr);
     }
 
     void
@@ -238,79 +205,43 @@ struct TransportServer::Poller
         if (it->second.first == rd && it->second.second == wr)
             return;
         it->second = {rd, wr};
-#if VPC_HAVE_EPOLL
-        if (!usePoll_) {
-            epoll_event ev{};
-            ev.events = events(rd, wr);
-            ev.data.fd = fd;
-            ::epoll_ctl(epfd_, EPOLL_CTL_MOD, fd, &ev);
-        }
-#endif
+        ctl(EPOLL_CTL_MOD, fd, rd, wr);
     }
 
     void
     del(int fd)
     {
         interest_.erase(fd);
-#if VPC_HAVE_EPOLL
-        if (!usePoll_)
-            ::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr);
-#endif
+        ::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr);
     }
 
     void
     wait(std::vector<Event> &out, int timeout_ms)
     {
         out.clear();
-#if VPC_HAVE_EPOLL
-        if (!usePoll_) {
-            epoll_event evs[64];
-            int n = ::epoll_wait(epfd_, evs, 64, timeout_ms);
-            for (int i = 0; i < n; ++i) {
-                out.push_back({evs[i].data.fd,
-                               (evs[i].events & EPOLLIN) != 0,
-                               (evs[i].events & EPOLLOUT) != 0,
-                               (evs[i].events &
-                                (EPOLLERR | EPOLLHUP)) != 0});
-            }
-            return;
-        }
-#endif
-        std::vector<pollfd> pfds;
-        pfds.reserve(interest_.size());
-        for (const auto &[fd, rw] : interest_) {
-            short ev = 0;
-            if (rw.first)
-                ev |= POLLIN;
-            if (rw.second)
-                ev |= POLLOUT;
-            pfds.push_back({fd, ev, 0});
-        }
-        int n = ::poll(pfds.data(),
-                       static_cast<nfds_t>(pfds.size()), timeout_ms);
-        if (n <= 0)
-            return;
-        for (const pollfd &p : pfds) {
-            if (p.revents == 0)
-                continue;
-            out.push_back({p.fd, (p.revents & POLLIN) != 0,
-                           (p.revents & POLLOUT) != 0,
-                           (p.revents &
-                            (POLLERR | POLLHUP | POLLNVAL)) != 0});
+        epoll_event evs[64];
+        int n = ::epoll_wait(epfd_, evs, 64, timeout_ms);
+        for (int i = 0; i < n; ++i) {
+            out.push_back({evs[i].data.fd,
+                           (evs[i].events & EPOLLIN) != 0,
+                           (evs[i].events & EPOLLOUT) != 0,
+                           (evs[i].events & (EPOLLERR | EPOLLHUP)) != 0});
         }
     }
 
   private:
-#if VPC_HAVE_EPOLL
-    static std::uint32_t
-    events(bool rd, bool wr)
+    void
+    ctl(int op, int fd, bool rd, bool wr)
     {
-        return (rd ? EPOLLIN : 0u) | (wr ? EPOLLOUT : 0u);
+        epoll_event ev{};
+        ev.events = (rd ? EPOLLIN : 0u) | (wr ? EPOLLOUT : 0u);
+        ev.data.fd = fd;
+        ::epoll_ctl(epfd_, op, fd, &ev);
     }
-    int epfd_ = -1;
-#endif
-    bool usePoll_ = false;
-    /** fd -> (want_read, want_write); also the poll() fd universe. */
+
+    int epfd_;
+    /** fd -> (want_read, want_write), so an unchanged interest set
+     *  costs no EPOLL_CTL_MOD call. */
     std::unordered_map<int, std::pair<bool, bool>> interest_;
 };
 
@@ -330,7 +261,6 @@ struct TransportServer::Conn
     std::size_t outOffset = 0; //!< sent bytes of out.front()
     std::unordered_set<std::uint64_t> watched;
     Clock::time_point lastRecv;
-    Clock::time_point lastSend;
     bool readPaused = false;
     bool pingOutstanding = false;
     /**
@@ -365,6 +295,13 @@ TransportServer::start()
                  cfg_.socketPath, sizeof(addr.sun_path) - 1);
         return false;
     }
+    poller_ = std::make_unique<Poller>();
+    if (!poller_->ok()) {
+        vpc_warn("transport: epoll_create1 failed: {}; socket "
+                 "transport disabled", std::strerror(errno));
+        poller_.reset();
+        return false;
+    }
     // The caller holds the spool's pid fence, so any existing socket
     // file is a dead daemon's leftover — unlink and rebind.
     ::unlink(cfg_.socketPath.c_str());
@@ -393,7 +330,6 @@ TransportServer::start()
     setCloexec(wakeRead_);
     setCloexec(wakeWrite_);
 
-    poller_ = std::make_unique<Poller>(cfg_.forcePoll);
     poller_->add(listenFd_, true, false);
     poller_->add(wakeRead_, true, false);
 
@@ -517,7 +453,7 @@ TransportServer::acceptAll()
         }
         auto c = std::make_unique<Conn>();
         c->fd = fd;
-        c->lastRecv = c->lastSend = Clock::now();
+        c->lastRecv = Clock::now();
         conns_.emplace(fd, std::move(c));
         poller_->add(fd, true, false);
         stats_.accepted.fetch_add(1, std::memory_order_relaxed);
@@ -600,7 +536,6 @@ TransportServer::flushConn(Conn &c)
             doomConn(c);
             return;
         }
-        c.lastSend = Clock::now();
         c.outOffset += static_cast<std::size_t>(n);
         c.outBytes -= static_cast<std::size_t>(n);
         if (c.outOffset == f.size()) {
@@ -834,8 +769,10 @@ TransportServer::heartbeat()
             dead.push_back(fd);
             continue;
         }
-        if (now - c.lastRecv > idle && now - c.lastSend > idle &&
-            !c.pingOutstanding) {
+        // Ping on receive silence alone: a client that only receives
+        // a completion stream never sends unprompted, and its Pong is
+        // what keeps it alive.
+        if (now - c.lastRecv > idle && !c.pingOutstanding) {
             std::string b;
             putU64(b, static_cast<std::uint64_t>(
                           now.time_since_epoch().count()));

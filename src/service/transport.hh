@@ -11,9 +11,8 @@
  * the spool as the durability layer:
  *
  *  - TransportServer: a non-blocking Unix-domain socket listener run
- *    by the daemon on its own thread, multiplexed by epoll (Linux)
- *    with a poll(2) fallback (other platforms, or VPC_TRANSPORT_POLL=1
- *    to force it for testing).  Socket submits are handed to the
+ *    by the daemon on its own thread, multiplexed by epoll(7) (the
+ *    service is Linux-only).  Socket submits are handed to the
  *    daemon, which spools + journals them *before* the ack frame is
  *    sent, so the SIGKILL drill and exactly-once semantics are
  *    unchanged — a job acked over the socket is exactly as durable as
@@ -49,10 +48,12 @@
  * connection (backpressure: a client flooding submits faster than it
  * drains acks/completions is throttled by its own socket); above the
  * hard cap the connection is dropped.  Heartbeats: the server pings
- * idle connections every heartbeatMs and closes peers silent for
- * 3 x heartbeatMs; the client does the same toward the daemon, so a
- * wedged (not just dead) peer is detected on both sides.  A SIGKILLed
- * daemon is detected immediately via EOF/ECONNRESET.
+ * a peer it has heard nothing from for heartbeatMs — however much it
+ * is sending, so a client that only receives completions still
+ * answers — and closes peers silent for 3 x heartbeatMs; the client
+ * does the same toward the daemon, so a wedged (not just dead) peer
+ * is detected on both sides.  A SIGKILLed daemon is detected
+ * immediately via EOF/ECONNRESET.
  */
 
 #ifndef VPC_SERVICE_TRANSPORT_HH
@@ -96,11 +97,6 @@ struct TransportConfig
     /** Server write-queue backpressure thresholds, bytes/connection. */
     std::size_t writeHighWater = 4u << 20;
     std::size_t writeHardCap = 16u << 20;
-    /**
-     * Force the poll(2) backend even where epoll is available (also
-     * switchable per-process with VPC_TRANSPORT_POLL=1).
-     */
-    bool forcePoll = false;
 };
 
 /** Monotonic transport-server counters (read any time). */
@@ -158,8 +154,8 @@ class TransportServer
      * Bind the socket (unlinking any stale file — the caller must
      * already hold the spool's pid fence), listen, and start the
      * event loop thread.  @return false when the socket cannot be
-     * created (path too long, bind failure); the service then runs
-     * spool-only.
+     * created (path too long, no epoll instance, bind failure); the
+     * service then runs spool-only.
      */
     bool start();
 

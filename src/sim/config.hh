@@ -12,7 +12,6 @@
 #define VPC_SIM_CONFIG_HH
 
 #include <cstdint>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -22,26 +21,6 @@
 
 namespace vpc
 {
-
-/**
- * Default for SystemConfig::kernelFuse: on unless the VPC_NO_FUSE
- * environment variable is set non-empty and not "0".  Read once per
- * process — an escape hatch, not a per-run switch — and folded into
- * the default rather than into normalize() so a config decoded from a
- * spooled job keeps the value its encoder hashed (the job codec embeds
- * and verifies the config digest across processes whose environments
- * may differ).
- */
-inline bool
-defaultKernelFuse()
-{
-    static const bool fuse = [] {
-        const char *env = std::getenv("VPC_NO_FUSE");
-        return env == nullptr || *env == '\0' ||
-               (env[0] == '0' && env[1] == '\0');
-    }();
-    return fuse;
-}
 
 /**
  * Which policy drives the shared L2 resource arbiters.  The values
@@ -281,17 +260,6 @@ struct SystemConfig
      * auditor is installed, since audits are defined per cycle.
      */
     bool kernelSkip = true;
-
-    /**
-     * Fuse fixed-latency event chains (sim/fused_chain.hh): L1 hit
-     * completions, crossbar transits and critical-word responses run
-     * through FIFO lanes drained each cycle instead of the timing
-     * wheel.  Model results are byte-identical either way — the
-     * committed goldens in tests/golden/ check it — so turning this
-     * off (the VPC_NO_FUSE=1 escape hatch) is purely a verification
-     * and debugging aid.
-     */
-    bool kernelFuse = defaultKernelFuse();
 
     /**
      * Attach the cycle-attribution profiler (--profile): per-component

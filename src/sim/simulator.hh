@@ -152,10 +152,10 @@ class Simulator
     /**
      * Register a fused fixed-latency chain (see sim/fused_chain.hh).
      * Every cycle the kernel drains the chain's due entries right
-     * after the event queue fires, in registration order.  Not owned;
-     * must outlive the simulator run.  Register chains in the order
-     * their entries would have been scheduled within a producing
-     * cycle, so drains replay the event queue's insertion order.
+     * after the event queue fires, in registration order, so the
+     * registration order is part of the model's same-cycle order.
+     * Not owned; must outlive the simulator run.  An unregistered
+     * chain is never drained.
      */
     void
     addFusedChain(FusedChain *c)

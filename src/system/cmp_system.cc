@@ -56,29 +56,15 @@ CmpSystem::CmpSystem(SystemConfig cfg_,
     sim.addTicking(l2_.get(), "l2");
     sim.addTicking(mem_.get(), "mem");
 
-    // Fused fixed-latency chains.  Lane drain order must replay the
-    // event queue's insertion order for same-cycle entries: every
-    // fused hop has the minimum modeled latency, so all other events
-    // due the same cycle were inserted earlier and fire first
-    // (runDue precedes the drains), and within the fused set the
-    // producing cycle schedules hits/transits from the CPU ticks
-    // before the L2 tick issues bus grants — hence L1 lanes, then
-    // the transit lane, then the response lane.
-    if (cfg.kernelFuse) {
-        for (ThreadId t = 0; t < cfg.numProcessors; ++t) {
-            cpus[t]->setHitFused(true);
-            sim.addFusedChain(cpus[t]->hitChain());
-        }
-        transitLane_ =
-            std::make_unique<L2Cache::TransitLane>(/*counted=*/true);
-        l2_->setTransitLane(transitLane_.get());
-        sim.addFusedChain(transitLane_.get());
-        respLane_ =
-            std::make_unique<L2Bank::ResponseLane>(/*counted=*/true);
-        for (unsigned b = 0; b < l2_->numBanks(); ++b)
-            l2_->bank(b).setResponseLane(respLane_.get());
-        sim.addFusedChain(respLane_.get());
-    }
+    // Fused fixed-latency chains.  The kernel drains them after the
+    // wheel's same-cycle events, in registration order, and that
+    // order is part of the model: within a cycle the CPU ticks push
+    // hits and transits before the L2 tick grants buses — hence the
+    // L1 lanes by CPU, then the transit lane, then the response lane.
+    for (ThreadId t = 0; t < cfg.numProcessors; ++t)
+        sim.addFusedChain(cpus[t]->hitChain());
+    sim.addFusedChain(l2_->transitChain());
+    sim.addFusedChain(l2_->responseChain());
 
     if (cfg.profile) {
         profiler_ = std::make_unique<Profiler>();

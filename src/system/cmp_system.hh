@@ -165,11 +165,6 @@ class CmpSystem
 
     SystemConfig cfg;
     Simulator sim;
-    /** Fused fixed-latency chains (cfg.kernelFuse): the crossbar
-     *  transit and critical-word response lanes.  The per-core L1
-     *  hit lanes live inside the Cpus. */
-    std::unique_ptr<L2Cache::TransitLane> transitLane_;
-    std::unique_ptr<L2Bank::ResponseLane> respLane_;
     std::vector<std::unique_ptr<Workload>> workloads;
     std::unique_ptr<MemoryController> mem_;
     std::unique_ptr<L2Cache> l2_;

@@ -106,7 +106,6 @@ digestConfig(Fnv1a &h, const SystemConfig &cfg)
     h.u64(v.faultSeed);
 
     h.u64(cfg.kernelSkip ? 1 : 0);
-    h.u64(cfg.kernelFuse ? 1 : 0);
     h.u64(cfg.allowUnallocatedShares ? 1 : 0);
     h.u64(cfg.vpcIntraThreadRow ? 1 : 0);
     h.u64(cfg.vpcIdleReset ? 1 : 0);

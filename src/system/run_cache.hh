@@ -67,7 +67,7 @@ namespace vpc
 {
 
 /** Bump when the digested inputs or the record layout change. */
-constexpr std::uint64_t kRunCacheSchema = 3;
+constexpr std::uint64_t kRunCacheSchema = 4;
 
 /**
  * Content identity of one workload stream: a vpcsim-style spec string

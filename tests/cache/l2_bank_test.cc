@@ -27,13 +27,14 @@ class L2BankTest : public ::testing::Test
         mc = std::make_unique<MemoryController>(cfg.mem, 2, 64,
                                                 sim.events());
         bank = std::make_unique<L2Bank>(cfg, 0, 1, 2, sim.events(),
-                                        *mc);
+                                        *mc, respLane);
         bank->setResponseHandler([this](ThreadId t, Addr la) {
             responses.push_back({t, la, sim.now()});
         });
         ticker.bank = bank.get();
         sim.addTicking(&ticker);
         sim.addTicking(mc.get());
+        sim.addFusedChain(&respLane);
     }
 
     struct BankTicker : Ticking
@@ -79,6 +80,7 @@ class L2BankTest : public ::testing::Test
 
     SystemConfig cfg;
     Simulator sim;
+    L2Bank::ResponseLane respLane{/*counted=*/true};
     std::unique_ptr<MemoryController> mc;
     std::unique_ptr<L2Bank> bank;
     BankTicker ticker;

@@ -33,6 +33,8 @@ class L2CacheTest : public ::testing::Test
         });
         sim.addTicking(l2.get());
         sim.addTicking(mc.get());
+        sim.addFusedChain(l2->transitChain());
+        sim.addFusedChain(l2->responseChain());
     }
 
     struct Response
@@ -45,7 +47,7 @@ class L2CacheTest : public ::testing::Test
     void
     runToIdle(Cycle limit = 20'000)
     {
-        // Let crossbar-transit events land before polling quiesced().
+        // Let crossbar transits land before polling quiesced().
         Cycle end = sim.now() + limit;
         sim.run(4);
         while (sim.now() < end && !l2->quiesced())

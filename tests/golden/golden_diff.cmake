@@ -9,27 +9,12 @@
 # WORK_DIR, so any report it writes to its working directory stays
 # out of the source tree.
 #
-# With fusion turned off (VPC_NO_FUSE set to anything but "" or "0",
-# the rule of defaultKernelFuse() in src/sim/config.hh) the kernel
-# fires the fused hops as real events, so a program that prints its
-# kernel counters has a second golden, <name>.nofuse.txt, which is
-# used instead when it exists.
-#
 # To regenerate a golden after an intended model change, run the same
 # command and overwrite the file; say why in the commit.
 
 if(NOT PROG OR NOT GOLDEN OR NOT WORK_DIR)
     message(FATAL_ERROR "usage: cmake -DPROG=... -DARGS=... -DGOLDEN=... "
                         "-DWORK_DIR=... -P golden_diff.cmake")
-endif()
-
-set(no_fuse "$ENV{VPC_NO_FUSE}")
-if(NOT no_fuse STREQUAL "" AND NOT no_fuse STREQUAL "0")
-    string(REGEX REPLACE "\\.txt$" ".nofuse.txt" nofuse_golden
-           "${GOLDEN}")
-    if(EXISTS "${nofuse_golden}")
-        set(GOLDEN "${nofuse_golden}")
-    endif()
 endif()
 
 separate_arguments(args UNIX_COMMAND "${ARGS}")

@@ -2,12 +2,12 @@
  * @file
  * Socket-transport tests: framed submit/ack/completion round trips
  * against a live in-process daemon, terminal-state acks for duplicate
- * submits, watch-after-settle pushes, the poll(2) backend, protocol
- * error handling, heartbeat liveness — and the reconnect drill: a
- * SIGKILLed daemon mid-stream, the client detecting the dead peer and
- * degrading to spool/local, a successor draining the spool, results
- * byte-identical throughout.  Fork-based tests are skipped under
- * ThreadSanitizer.
+ * submits, watch-after-settle pushes, protocol error handling,
+ * heartbeat liveness (idle, silent and receive-only peers) — and the
+ * reconnect drill: a SIGKILLed daemon mid-stream, the client
+ * detecting the dead peer and degrading to spool/local, a successor
+ * draining the spool, results byte-identical throughout.  Fork-based
+ * tests are skipped under ThreadSanitizer.
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +15,6 @@
 #include <atomic>
 #include <chrono>
 #include <csignal>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <string>
@@ -233,24 +232,6 @@ TEST(Transport, WatchOnSettledDigestCompletesImmediately)
     EXPECT_EQ(comp.state, JobState::Done);
 }
 
-TEST(Transport, PollBackendServesTheSameRoundTrip)
-{
-    ::setenv("VPC_TRANSPORT_POLL", "1", 1);
-    std::string dir = testDir("pollbackend");
-    LiveDaemon live(dir);
-    ASSERT_TRUE(live.daemon->transport());
-
-    ServiceClient client(dir);
-    ServedBy served = ServedBy::Local;
-    RunResult r = client.runJob(smallJob(11), &served);
-    EXPECT_EQ(served, ServedBy::Socket);
-
-    RunCache scratch("");
-    RunResult direct = runAndMeasureCached(smallJob(11), &scratch);
-    expectSameRecord(r.record, direct.record);
-    ::unsetenv("VPC_TRANSPORT_POLL");
-}
-
 TEST(Transport, SpoolOnlyDaemonServesViaPollingTier)
 {
     std::string dir = testDir("spoolonly");
@@ -360,6 +341,66 @@ TEST(Transport, SilentPeerIsClosedByServerHeartbeat)
     EXPECT_EQ(n, 0);
     ::close(fd);
     EXPECT_GE(live.daemon->transport()->stats().deadPeers.load(), 1u);
+}
+
+TEST(Transport, ReceiveOnlyClientSurvivesACompletionStream)
+{
+    // A client that watches digests and then only reads completions
+    // never sends unprompted: its own heartbeat stays quiet while
+    // traffic arrives.  The stream outlasts 3 x heartbeatMs, so the
+    // server must ping on receive silence alone, not wait for its own
+    // send side to go idle too.
+    std::string dir = testDir("recvonly");
+    fs::create_directories(dir);
+    TransportConfig tc;
+    tc.socketPath = dir + "/t.sock";
+    tc.heartbeatMs = 50;
+    constexpr std::uint64_t kDigests = 60;
+    std::atomic<std::uint64_t> probed{0};
+    TransportServer server(
+        tc,
+        [](const std::string &, std::uint64_t &digest) {
+            digest = 0;
+            return JobState::Absent;
+        },
+        [&](std::uint64_t, std::string &) {
+            probed.fetch_add(1);
+            return JobState::Pending;
+        });
+    ASSERT_TRUE(server.start());
+
+    TransportClient client(tc);
+    ASSERT_TRUE(client.connect());
+    std::vector<std::uint64_t> digests;
+    for (std::uint64_t d = 1; d <= kDigests; ++d)
+        digests.push_back(d);
+    ASSERT_TRUE(client.watch(digests));
+
+    // Publish only once the server has registered every watch, so no
+    // completion is published before its watcher exists.
+    std::thread publisher([&] {
+        auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (probed.load() < kDigests &&
+               std::chrono::steady_clock::now() < deadline)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        for (std::uint64_t d : digests) {
+            server.publishCompletion(d, JobState::Done, "");
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        }
+    });
+
+    std::uint64_t received = 0;
+    TransportClient::Completion comp;
+    while (received < kDigests && client.nextCompletion(comp, 5'000)) {
+        EXPECT_EQ(comp.digest, received + 1);
+        EXPECT_EQ(comp.state, JobState::Done);
+        ++received;
+    }
+    publisher.join();
+    EXPECT_EQ(received, kDigests);
+    EXPECT_TRUE(client.connected());
+    EXPECT_EQ(server.stats().deadPeers.load(), 0u);
 }
 
 TEST(Transport, HardCapOverflowMidFrameIsDroppedSafely)
