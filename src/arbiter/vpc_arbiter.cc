@@ -52,7 +52,7 @@ VpcArbiter::VpcArbiter(unsigned num_threads, Cycle service_latency,
 void
 VpcArbiter::setShare(ThreadId t, double phi)
 {
-    if (phi < 0.0 || phi > 1.0)
+    if (!(0.0 <= phi && phi <= 1.0)) // NaN fails too
         vpc_fatal("VpcArbiter: share {} out of [0,1]", phi);
     phi_.at(t) = phi;
     // R.L_i only needs recomputation when phi changes (Section 4.1.1).

@@ -27,7 +27,7 @@ CacheArray::CacheArray(std::uint64_t sets, unsigned ways,
     if (policy_ != CapacityPolicy::Lru) {
         double sum = 0.0;
         for (double beta : betas) {
-            if (beta < 0.0 || beta > 1.0)
+            if (!(0.0 <= beta && beta <= 1.0)) // NaN fails too
                 vpc_fatal("capacity share {} out of [0,1]", beta);
             sum += beta;
             quotas_.push_back(quotaFor(beta));

@@ -1,7 +1,9 @@
 #include "service/job_codec.hh"
 
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
+#include <span>
 #include <type_traits>
 
 #include "sim/logging.hh"
@@ -14,85 +16,40 @@ namespace
 {
 
 /**
- * The scalar config fields, enumerated once for both directions.
- * Walker is called with every unsigned field (doubles ride in a
- * separate bits array so the array stays uniformly integral).  The
- * order must be stable — it is checked end-to-end by the embedded
- * digest, not by this file alone.
+ * Fills each field forEachField visits from the record arrays, in
+ * walk order: doubles from @c dbls, everything else from @c ints.
  */
-template <typename U, typename C>
-void
-walkConfigScalars(U &&u, C &cfg)
+struct FieldReader
 {
-    u(cfg.numProcessors);
+    std::span<const std::uint64_t> ints;
+    std::span<const std::uint64_t> dbls;
+    std::size_t nextInt = 0;
+    std::size_t nextDbl = 0;
+    bool underflow = false;
 
-    auto &c = cfg.core;
-    u(c.dispatchWidth);
-    u(c.robEntries);
-    u(c.retireWidth);
-    u(c.loadQueueEntries);
-    u(c.storeQueueEntries);
-    u(c.lsuPorts);
-    u(c.storeCommitWidth);
+    template <typename T>
+    void
+    operator()(T &field)
+    {
+        constexpr bool dbl = std::is_same_v<T, double>;
+        std::span<const std::uint64_t> from = dbl ? dbls : ints;
+        std::size_t &next = dbl ? nextDbl : nextInt;
+        if (next == from.size())
+            underflow = true;
+        else if constexpr (dbl)
+            field = std::bit_cast<double>(from[next++]);
+        else
+            field = static_cast<T>(from[next++]);
+    }
 
-    auto &l1 = cfg.l1;
-    u(l1.sizeBytes);
-    u(l1.ways);
-    u(l1.lineBytes);
-    u(l1.hitLatency);
-    u(l1.mshrs);
-    u(l1.prefetch.enable);
-    u(l1.prefetch.streams);
-    u(l1.prefetch.degree);
-    u(l1.prefetch.confidence);
-
-    auto &l2 = cfg.l2;
-    u(l2.banks);
-    u(l2.sizeBytes);
-    u(l2.ways);
-    u(l2.lineBytes);
-    u(l2.tagLatency);
-    u(l2.tagWriteAccesses);
-    u(l2.dataLatency);
-    u(l2.dataWriteAccesses);
-    u(l2.busBeatCycles);
-    u(l2.busBytes);
-    u(l2.busOccupancyOverride);
-    u(l2.interconnectLatency);
-    u(l2.stateMachinesPerThread);
-    u(l2.sgbEntriesPerThread);
-    u(l2.sgbHighWater);
-    u(l2.readClaimEntries);
-
-    auto &m = cfg.mem;
-    u(m.ranksPerChannel);
-    u(m.banksPerRank);
-    u(m.transactionEntries);
-    u(m.writeEntries);
-    u(m.tRcd);
-    u(m.tCl);
-    u(m.tRp);
-    u(m.tBurst);
-    u(m.tWr);
-    u(m.ctrlLatency);
-    u(m.sharedChannel);
-    u(m.schedulerPolicy);
-
-    u(cfg.arbiterPolicy);
-    u(cfg.capacityPolicy);
-
-    auto &v = cfg.verify;
-    u(v.paranoid);
-    u(v.auditInterval);
-    u(v.watchdogCycles);
-    u(v.faultSeed);
-
-    u(cfg.kernelSkip);
-    u(cfg.allowUnallocatedShares);
-    u(cfg.vpcIntraThreadRow);
-    u(cfg.vpcIdleReset);
-    u(cfg.vpcWorkConserving);
-}
+    /** @return whether the fields used up both arrays exactly. */
+    bool
+    exact() const
+    {
+        return !underflow && nextInt == ints.size() &&
+               nextDbl == dbls.size();
+    }
+};
 
 } // namespace
 
@@ -103,26 +60,19 @@ encodeJob(const RunJob &job)
     j.config.validate();
     std::uint64_t digest = runDigest(j);
 
-    std::vector<std::uint64_t> cfg;
-    walkConfigScalars(
-        [&cfg](auto v) { cfg.push_back(static_cast<std::uint64_t>(v)); },
-        j.config);
-
-    std::vector<double> dbls{j.config.core.lsuRejectProb,
-                             j.config.verify.faultRate};
+    std::vector<std::uint64_t> cfg, cfg_dbl, l1pf;
+    forEachField(j.config, [&](auto v) {
+        (std::is_same_v<decltype(v), double> ? cfg_dbl : cfg)
+            .push_back(scalarBits(v));
+    });
+    // A PrefetchConfig has integer fields only.
+    for (const PrefetchConfig &p : j.config.l1PrefetchPerThread)
+        forEachField(p, [&l1pf](auto v) { l1pf.push_back(scalarBits(v)); });
 
     std::vector<double> shares;
     for (const auto &s : j.config.shares) {
         shares.push_back(s.phi);
         shares.push_back(s.beta);
-    }
-
-    std::vector<std::uint64_t> l1pf;
-    for (const auto &p : j.config.l1PrefetchPerThread) {
-        l1pf.push_back(p.enable ? 1 : 0);
-        l1pf.push_back(p.streams);
-        l1pf.push_back(p.degree);
-        l1pf.push_back(p.confidence);
     }
 
     char *buf = nullptr;
@@ -135,7 +85,7 @@ encodeJob(const RunJob &job)
                  static_cast<unsigned long long>(kJobCodecSchema),
                  static_cast<unsigned long long>(digest));
     writeRecordVec(f, "cfg", cfg);
-    writeRecordVec(f, "cfg_dbl", recordBits(dbls));
+    writeRecordVec(f, "cfg_dbl", cfg_dbl);
     writeRecordVec(f, "shares", recordBits(shares));
     writeRecordVec(f, "l1pf", l1pf);
     std::fprintf(f, "\"warmup\": %llu, \"measure\": %llu, "
@@ -178,43 +128,25 @@ decodeJob(const std::string &text, RunJob &out)
     if (!p.getArray("cfg", cfg) || !p.getArray("cfg_dbl", cfg_dbl) ||
         !p.getArray("shares", shares) || !p.getArray("l1pf", l1pf))
         return false;
-    if (cfg_dbl.size() != 2 || shares.size() % 2 != 0 ||
-        l1pf.size() % 4 != 0)
+    if (shares.size() % 2 != 0)
         return false;
 
     RunJob job;
-    std::size_t i = 0;
-    bool underflow = false;
-    walkConfigScalars(
-        [&](auto &field) {
-            if (i >= cfg.size()) {
-                underflow = true;
-                return;
-            }
-            field = static_cast<std::decay_t<decltype(field)>>(cfg[i++]);
-        },
-        job.config);
-    if (underflow || i != cfg.size())
+    FieldReader scalars{cfg, cfg_dbl};
+    forEachField(job.config, scalars);
+    if (!scalars.exact())
         return false; // field-count skew: stale or foreign record
 
-    std::vector<double> dbls = recordDoubles(cfg_dbl);
-    job.config.core.lsuRejectProb = dbls[0];
-    job.config.verify.faultRate = dbls[1];
-
     std::vector<double> sh = recordDoubles(shares);
-    job.config.shares.clear();
     for (std::size_t s = 0; s + 1 < sh.size(); s += 2)
         job.config.shares.push_back({sh[s], sh[s + 1]});
 
-    job.config.l1PrefetchPerThread.clear();
-    for (std::size_t s = 0; s + 3 < l1pf.size(); s += 4) {
-        PrefetchConfig pf;
-        pf.enable = l1pf[s] != 0;
-        pf.streams = static_cast<unsigned>(l1pf[s + 1]);
-        pf.degree = static_cast<unsigned>(l1pf[s + 2]);
-        pf.confidence = static_cast<unsigned>(l1pf[s + 3]);
-        job.config.l1PrefetchPerThread.push_back(pf);
-    }
+    FieldReader prefetch{l1pf, {}};
+    while (prefetch.nextInt < l1pf.size() && !prefetch.underflow)
+        forEachField(job.config.l1PrefetchPerThread.emplace_back(),
+                     prefetch);
+    if (!prefetch.exact())
+        return false;
 
     std::uint64_t warmup = 0, measure = 0, threads = 0;
     if (!p.getInt("warmup", warmup) || !p.getInt("measure", measure) ||
@@ -222,7 +154,9 @@ decodeJob(const std::string &text, RunJob &out)
         return false;
     job.warmup = warmup;
     job.measure = measure;
-    if (threads == 0 || threads > 1024)
+    // CmpSystem stops the process on a workload count that differs
+    // from numProcessors, and the daemon runs decoded jobs in-process.
+    if (threads != job.config.numProcessors)
         return false;
 
     for (std::uint64_t t = 0; t < threads; ++t) {

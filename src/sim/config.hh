@@ -11,8 +11,10 @@
 #ifndef VPC_SIM_CONFIG_HH
 #define VPC_SIM_CONFIG_HH
 
+#include <concepts>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "sim/logging.hh"
@@ -400,7 +402,31 @@ struct SystemConfig
                           "64-thread limit", numProcessors);
         if (vpc_mem && mem.tBurst == 0)
             return "the VPC memory scheduler needs tBurst > 0";
-        if (verify.faultRate < 0.0 || verify.faultRate > 1.0)
+        // Caps on the values that size the model's allocations, so a
+        // decoded job record cannot make the daemon allocate without
+        // bound.  DESIGN.md 5g explains the numbers.
+        if (numProcessors > 256 || l2.banks > 64)
+            return format("{} processors or {} L2 banks exceed the caps "
+                          "of 256 and 64", numProcessors, l2.banks);
+        if (l1.sizeBytes / l1.lineBytes > 16 * 1024 ||
+            l2.sizeBytes / l2.lineBytes > 4 * 1024 * 1024)
+            return "cache capacity exceeds the caps of 16Ki L1 lines and "
+                   "4Mi L2 lines";
+        if (l1.mshrs > 256 || core.robEntries > 1024 ||
+            core.loadQueueEntries > 1024 ||
+            mem.transactionEntries > 1024 || mem.writeEntries > 1024 ||
+            l2.stateMachinesPerThread > 64 || l2.sgbEntriesPerThread > 64 ||
+            mem.ranksPerChannel > 64 || mem.banksPerRank > 64 ||
+            l1.prefetch.streams > 64)
+            return "buffer sizes exceed the caps of 256 MSHRs; 1024 "
+                   "ROB, load queue, transaction or write entries; 64 L2 "
+                   "state machines, store gathering entries, DRAM ranks, "
+                   "banks per rank or prefetch streams";
+        // Written so that NaN fails too: it compares false both ways.
+        if (!(0.0 <= core.lsuRejectProb && core.lsuRejectProb <= 1.0))
+            return format("LSU reject probability {} out of [0, 1]",
+                          core.lsuRejectProb);
+        if (!(0.0 <= verify.faultRate && verify.faultRate <= 1.0))
             return format("fault rate {} out of [0, 1]",
                           verify.faultRate);
         if (shares.size() != numProcessors)
@@ -409,8 +435,8 @@ struct SystemConfig
         double phi_sum = 0.0, beta_sum = 0.0;
         for (std::size_t t = 0; t < shares.size(); ++t) {
             const QosShare &s = shares[t];
-            if (s.phi < 0.0 || s.phi > 1.0 ||
-                s.beta < 0.0 || s.beta > 1.0) {
+            if (!(0.0 <= s.phi && s.phi <= 1.0 &&
+                  0.0 <= s.beta && s.beta <= 1.0)) {
                 return "QoS shares must lie in [0, 1]";
             }
             // A zero share under the VPC policies gives the thread no
@@ -454,6 +480,8 @@ struct SystemConfig
         for (const PrefetchConfig &p : l1PrefetchPerThread) {
             if (p.enable && p.streams == 0)
                 return "L1 prefetcher enabled with zero streams";
+            if (p.streams > 64)
+                return "L1 prefetcher streams exceed the cap of 64";
         }
         return "";
     }
@@ -483,6 +511,91 @@ struct SystemConfig
         return out;
     }
 };
+
+/**
+ * Call @p f on each field of @p p in declaration order: the
+ * SystemConfig walk below visits l1.prefetch with it, and the run
+ * digest and the job codec each l1PrefetchPerThread entry.
+ */
+template <typename C, typename F>
+    requires std::same_as<std::remove_const_t<C>, PrefetchConfig>
+void
+forEachField(C &p, F &&f)
+{
+    auto &[enable, streams, degree, confidence] = p;
+    f(enable);
+    f(streams);
+    f(degree);
+    f(confidence);
+}
+
+/**
+ * Call @p f once on every scalar of @p cfg that can change a model
+ * statistic or a kernel counter, in declaration order.  This is the
+ * one list of the config: the run-cache digest hashes what it visits,
+ * and the job codec encodes and decodes through it.  C is SystemConfig
+ * or const SystemConfig.  The structured bindings must name every
+ * member, so a member added to a config struct without being named
+ * here stops the build.  The per-thread vectors are not scalars; the
+ * digest and the codec carry them on their own.
+ */
+template <typename C, typename F>
+    requires std::same_as<std::remove_const_t<C>, SystemConfig>
+void
+forEachField(C &cfg, F &&f)
+{
+    auto each = [&f](auto &...fields) { (f(fields), ...); };
+    // `profile` is not visited: it is observe-only, and
+    // RunDigest.ChangesUnderAnyResultAffectingPerturbation pins that
+    // it does not change the run-cache key.
+    auto &[numProcessors, core, l1, l2, mem, arbiterPolicy,
+           capacityPolicy, verify, kernelSkip, profile,
+           allowUnallocatedShares, vpcIntraThreadRow, vpcIdleReset,
+           vpcWorkConserving, shares, l1PrefetchPerThread] = cfg;
+    f(numProcessors);
+    {
+        auto &[dispatchWidth, robEntries, retireWidth, loadQueueEntries,
+               storeQueueEntries, lsuPorts, storeCommitWidth,
+               lsuRejectProb] = core;
+        each(dispatchWidth, robEntries, retireWidth, loadQueueEntries,
+             storeQueueEntries, lsuPorts, storeCommitWidth, lsuRejectProb);
+    }
+    {
+        auto &[sizeBytes, ways, lineBytes, hitLatency, mshrs,
+               prefetch] = l1;
+        each(sizeBytes, ways, lineBytes, hitLatency, mshrs);
+        forEachField(prefetch, f);
+    }
+    {
+        auto &[banks, sizeBytes, ways, lineBytes, tagLatency,
+               tagWriteAccesses, dataLatency, dataWriteAccesses,
+               busBeatCycles, busBytes, busOccupancyOverride,
+               interconnectLatency, stateMachinesPerThread,
+               sgbEntriesPerThread, sgbHighWater, readClaimEntries] = l2;
+        each(banks, sizeBytes, ways, lineBytes, tagLatency,
+             tagWriteAccesses, dataLatency, dataWriteAccesses,
+             busBeatCycles, busBytes, busOccupancyOverride,
+             interconnectLatency, stateMachinesPerThread,
+             sgbEntriesPerThread, sgbHighWater, readClaimEntries);
+    }
+    {
+        auto &[ranksPerChannel, banksPerRank, transactionEntries,
+               writeEntries, tRcd, tCl, tRp, tBurst, tWr, ctrlLatency,
+               sharedChannel, schedulerPolicy] = mem;
+        each(ranksPerChannel, banksPerRank, transactionEntries,
+             writeEntries, tRcd, tCl, tRp, tBurst, tWr, ctrlLatency,
+             sharedChannel, schedulerPolicy);
+    }
+    each(arbiterPolicy, capacityPolicy);
+    {
+        auto &[paranoid, auditInterval, watchdogCycles, faultRate,
+               faultSeed] = verify;
+        each(paranoid, auditInterval, watchdogCycles, faultRate,
+             faultSeed);
+    }
+    each(kernelSkip, allowUnallocatedShares, vpcIntraThreadRow,
+         vpcIdleReset, vpcWorkConserving);
+}
 
 } // namespace vpc
 

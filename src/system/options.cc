@@ -281,8 +281,8 @@ parseSimOptions(const std::vector<std::string> &args,
                 error_out = format("bad fault rate '{}'", parts[0]);
                 return std::nullopt;
             }
-            if (opts.config.verify.faultRate < 0.0 ||
-                opts.config.verify.faultRate > 1.0) {
+            double rate = opts.config.verify.faultRate;
+            if (!(0.0 <= rate && rate <= 1.0)) { // NaN fails too
                 error_out = format("fault rate {} out of [0, 1]",
                                    parts[0]);
                 return std::nullopt;

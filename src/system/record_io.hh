@@ -16,15 +16,18 @@
  *    emit.  Any deviation (truncation, corruption, foreign writer)
  *    fails the parse, so damaged records degrade to "absent", never to
  *    wrong values;
- *  - writeRecordVec / recordBits / recordDoubles: writer-side helpers.
+ *  - writeRecordVec / recordBits / recordDoubles / scalarBits:
+ *    writer-side helpers.
  */
 
 #ifndef VPC_SYSTEM_RECORD_IO_HH
 #define VPC_SYSTEM_RECORD_IO_HH
 
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -99,6 +102,20 @@ std::vector<std::uint64_t> recordBits(const std::vector<double> &v);
 
 /** Inverse of recordBits(). */
 std::vector<double> recordDoubles(const std::vector<std::uint64_t> &v);
+
+/**
+ * @return one config scalar as a record value: a double's IEEE-754 bit
+ *         pattern, anything else (integer, bool, enum) converted
+ */
+template <typename T>
+std::uint64_t
+scalarBits(T v)
+{
+    if constexpr (std::is_same_v<T, double>)
+        return std::bit_cast<std::uint64_t>(v);
+    else
+        return static_cast<std::uint64_t>(v);
+}
 
 /**
  * @return true when @p s can travel through the record format as a

@@ -26,91 +26,18 @@ namespace vpc
 namespace
 {
 
-void
-digestPrefetch(Fnv1a &h, const PrefetchConfig &p)
-{
-    h.u64(p.enable ? 1 : 0);
-    h.u64(p.streams);
-    h.u64(p.degree);
-    h.u64(p.confidence);
-}
-
 /**
  * Hash every field of the normalized config that can influence either
- * the model statistics or the kernel counters.  `profile` is the one
- * deliberate omission (observe-only; see run_cache.hh).
+ * the model statistics or the kernel counters: the scalars
+ * forEachField visits, in its order, then the two per-thread vectors,
+ * each after its length.  `profile` is the one deliberate omission
+ * (observe-only; see run_cache.hh).
  */
 void
 digestConfig(Fnv1a &h, const SystemConfig &cfg)
 {
-    h.u64(cfg.numProcessors);
-
-    const CoreConfig &c = cfg.core;
-    h.u64(c.dispatchWidth);
-    h.u64(c.robEntries);
-    h.u64(c.retireWidth);
-    h.u64(c.loadQueueEntries);
-    h.u64(c.storeQueueEntries);
-    h.u64(c.lsuPorts);
-    h.u64(c.storeCommitWidth);
-    h.dbl(c.lsuRejectProb);
-
-    const L1Config &l1 = cfg.l1;
-    h.u64(l1.sizeBytes);
-    h.u64(l1.ways);
-    h.u64(l1.lineBytes);
-    h.u64(l1.hitLatency);
-    h.u64(l1.mshrs);
-    digestPrefetch(h, l1.prefetch);
-
-    const L2Config &l2 = cfg.l2;
-    h.u64(l2.banks);
-    h.u64(l2.sizeBytes);
-    h.u64(l2.ways);
-    h.u64(l2.lineBytes);
-    h.u64(l2.tagLatency);
-    h.u64(l2.tagWriteAccesses);
-    h.u64(l2.dataLatency);
-    h.u64(l2.dataWriteAccesses);
-    h.u64(l2.busBeatCycles);
-    h.u64(l2.busBytes);
-    h.u64(l2.busOccupancyOverride);
-    h.u64(l2.interconnectLatency);
-    h.u64(l2.stateMachinesPerThread);
-    h.u64(l2.sgbEntriesPerThread);
-    h.u64(l2.sgbHighWater);
-    h.u64(l2.readClaimEntries);
-
-    const MemConfig &m = cfg.mem;
-    h.u64(m.ranksPerChannel);
-    h.u64(m.banksPerRank);
-    h.u64(m.transactionEntries);
-    h.u64(m.writeEntries);
-    h.u64(m.tRcd);
-    h.u64(m.tCl);
-    h.u64(m.tRp);
-    h.u64(m.tBurst);
-    h.u64(m.tWr);
-    h.u64(m.ctrlLatency);
-    h.u64(m.sharedChannel ? 1 : 0);
-    h.u64(static_cast<std::uint64_t>(m.schedulerPolicy));
-
-    h.u64(static_cast<std::uint64_t>(cfg.arbiterPolicy));
-    h.u64(static_cast<std::uint64_t>(cfg.capacityPolicy));
-
-    const VerifyConfig &v = cfg.verify;
-    h.u64(v.paranoid);
-    h.u64(v.auditInterval);
-    h.u64(v.watchdogCycles);
-    h.dbl(v.faultRate);
-    h.u64(v.faultSeed);
-
-    h.u64(cfg.kernelSkip ? 1 : 0);
-    h.u64(cfg.allowUnallocatedShares ? 1 : 0);
-    h.u64(cfg.vpcIntraThreadRow ? 1 : 0);
-    h.u64(cfg.vpcIdleReset ? 1 : 0);
-    h.u64(cfg.vpcWorkConserving ? 1 : 0);
-
+    auto hash = [&h](auto v) { h.u64(scalarBits(v)); };
+    forEachField(cfg, hash);
     h.u64(cfg.shares.size());
     for (const QosShare &s : cfg.shares) {
         h.dbl(s.phi);
@@ -118,7 +45,7 @@ digestConfig(Fnv1a &h, const SystemConfig &cfg)
     }
     h.u64(cfg.l1PrefetchPerThread.size());
     for (const PrefetchConfig &p : cfg.l1PrefetchPerThread)
-        digestPrefetch(h, p);
+        forEachField(p, hash);
 }
 
 /** @return whether a process with pid @p pid is still alive. */

@@ -41,10 +41,12 @@
  *
  * Anything that can alter either the model statistics or the kernel
  * counters is part of the digest (config, shares, verify layer,
- * kernel mode, run lengths, workload identity).  The only excluded
- * field is `profile`, which is strictly observe-only and contributes
- * nothing to a cached record; profiles are therefore only reported
- * for runs that actually executed.
+ * kernel mode, run lengths, workload identity).  The config scalars
+ * hashed are exactly those forEachField() in sim/config.hh visits,
+ * the walk the job codec also uses.  The only excluded field is
+ * `profile`, which is strictly observe-only and contributes nothing to
+ * a cached record; profiles are therefore only reported for runs that
+ * actually executed.
  */
 
 #ifndef VPC_SYSTEM_RUN_CACHE_HH

@@ -10,7 +10,7 @@ namespace vpc
 FaultInjector::FaultInjector(double rate, std::uint64_t seed)
     : rate_(rate), rng(seed, /*stream=*/0x5eedf417)
 {
-    if (rate_ < 0.0 || rate_ > 1.0)
+    if (!(0.0 <= rate_ && rate_ <= 1.0)) // NaN fails too
         vpc_fatal("fault rate {} out of [0, 1]", rate_);
 }
 

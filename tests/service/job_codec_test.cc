@@ -9,10 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "service/job_codec.hh"
 #include "system/experiment.hh"
 #include "system/options.hh"
+
+#include "../system/config_fields.hh"
 
 namespace vpc
 {
@@ -64,20 +67,57 @@ TEST(JobCodec, EncodeIsByteStable)
 
 TEST(JobCodec, NonDefaultScalarsSurvive)
 {
-    RunJob job = sampleJob();
-    job.config.l2.banks = 4;
-    job.config.core.lsuRejectProb = 0.123456789;
-    job.config.kernelSkip = false;
-    job.config.mem.schedulerPolicy = ArbiterPolicy::RowFcfs;
-    job.config.verify.watchdogCycles = 12'345;
-    RunJob back;
-    ASSERT_TRUE(decodeJob(encodeJob(job), back));
-    EXPECT_EQ(back.config.l2.banks, 4u);
-    EXPECT_EQ(back.config.core.lsuRejectProb, 0.123456789);
-    EXPECT_FALSE(back.config.kernelSkip);
-    EXPECT_EQ(back.config.mem.schedulerPolicy, ArbiterPolicy::RowFcfs);
-    EXPECT_EQ(back.config.verify.watchdogCycles, 12'345u);
-    EXPECT_EQ(runDigest(job), runDigest(back));
+    // Every field forEachField visits, changed on its own, decodes to
+    // the job that was encoded.
+    const RunJob base = sampleJob();
+    RunJob probe = base;
+    std::vector<std::string> walked = walkedNames(probe.config);
+    EXPECT_EQ(walked.size(), 58u);
+    for (std::size_t i = 0; i < walked.size(); ++i) {
+        RunJob job = base;
+        perturbField(job, i);
+        std::string text = encodeJob(job);
+        RunJob back;
+        ASSERT_TRUE(decodeJob(text, back)) << walked[i];
+        EXPECT_EQ(runDigest(back), runDigest(job)) << walked[i];
+        EXPECT_EQ(encodeJob(back), text) << walked[i];
+    }
+}
+
+TEST(JobCodec, RecordIsPinned)
+{
+    // The literal record: forEachField's integers in "cfg" and its
+    // two doubles in "cfg_dbl".  If it changes, bump kJobCodecSchema,
+    // since spooled jobs would otherwise decode into other fields.
+    EXPECT_EQ(
+        encodeJob(nonDefaultJob()),
+        "{\"svc_schema\": 4, \"digest\": 15514232355642169734, "
+        "  \"cfg\": [2, 5, 100, 5, 32, 32, 2, 1, 16384, 4, 64, 2, 16, "
+        "0, 4, 2, 2, 2, 16777216, 32, 64, 4, 2, 8, 2, 2, 16, 0, 2, 8, "
+        "8, 6, 8, 2, 8, 16, 8, 25, 25, 25, 20, 25, 10, 1, 3, 3, 1, 0, "
+        "64, 0, 7, 0, 0, 1, 1, 1],\n"
+        "  \"cfg_dbl\": [4593560419846153055, 4562254508917369340],\n"
+        "  \"shares\": [4602678819172646912, 4602678819172646912, "
+        "4602678819172646912, 4602678819172646912],\n"
+        "  \"l1pf\": [1, 4, 2, 2, 1, 8, 1, 3],\n"
+        "\"warmup\": 1000, \"measure\": 5000, \"threads\": 2, "
+        "\"wl0_spec\": \"art\", \"wl0_base\": 0, \"wl0_seed\": 1, "
+        "\"wl1_spec\": \"stores\", \"wl1_base\": 1099511627776, "
+        "\"wl1_seed\": 2}\n");
+}
+
+TEST(JobCodec, RejectsThreadCountMismatchWithoutDying)
+{
+    // A record with fewer workloads than processors parses, but
+    // CmpSystem stops the process on it, and the daemon runs decoded
+    // jobs in-process.
+    RunJob job;
+    job.config = makeBaselineConfig(2, ArbiterPolicy::Fcfs);
+    job.workloads = {WorkloadKey{"loads", threadBaseAddr(0), 1}};
+    job.warmup = 1'000;
+    job.measure = 5'000;
+    RunJob out;
+    EXPECT_FALSE(decodeJob(encodeJob(job), out));
 }
 
 TEST(JobCodec, RejectsDamage)

@@ -5,7 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <limits>
+#include <vector>
+
 #include "sim/config.hh"
+#include "system/experiment.hh"
 
 namespace vpc
 {
@@ -318,6 +323,91 @@ TEST(SystemConfig, VpcMemorySchedulerZeroBurstRejected)
     cfg.mem.schedulerPolicy = ArbiterPolicy::Vpc;
     cfg.mem.tBurst = 0;
     EXPECT_TRUE(rejectedWith(cfg, "needs tBurst > 0"));
+}
+
+// A NaN compares false both ways, so only bounds written as
+// !(lo <= v && v <= hi) reject it.  A vpcsim flag can parse to NaN
+// ("--phi=nan,0.5"), and a job record can carry any bit pattern.
+
+constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+
+TEST(SystemConfig, NanPhiRejected)
+{
+    SystemConfig cfg = twoThreadFcfs();
+    cfg.shares[0].phi = kNan;
+    EXPECT_TRUE(rejectedWith(cfg, "QoS shares must lie in [0, 1]"));
+}
+
+TEST(SystemConfig, NanBetaRejected)
+{
+    SystemConfig cfg = twoThreadFcfs();
+    cfg.shares[1].beta = kNan;
+    EXPECT_TRUE(rejectedWith(cfg, "QoS shares must lie in [0, 1]"));
+}
+
+TEST(SystemConfig, NanFaultRateRejected)
+{
+    SystemConfig cfg = twoThreadFcfs();
+    cfg.verify.faultRate = kNan;
+    EXPECT_TRUE(rejectedWith(cfg, "fault rate nan out of [0, 1]"));
+}
+
+TEST(SystemConfig, LsuRejectProbAboveOneRejected)
+{
+    SystemConfig cfg = twoThreadFcfs();
+    cfg.core.lsuRejectProb = 2.0;
+    EXPECT_TRUE(rejectedWith(cfg, "LSU reject probability 2 out of"));
+}
+
+TEST(SystemConfig, NanLsuRejectProbRejected)
+{
+    SystemConfig cfg = twoThreadFcfs();
+    cfg.core.lsuRejectProb = kNan;
+    EXPECT_TRUE(rejectedWith(cfg, "LSU reject probability nan out of"));
+}
+
+// Each value below sizes an allocation of the model: without a cap a
+// decoded job record could make the daemon allocate without bound.
+
+TEST(SystemConfig, AllocationSizesAreCapped)
+{
+    const std::vector<std::function<void(SystemConfig &)>> over = {
+        [](SystemConfig &c) {
+            c.numProcessors = 257;
+            c.capacityPolicy = CapacityPolicy::Lru;
+            c.shares.assign(257, QosShare{0.0, 0.0});
+        },
+        [](SystemConfig &c) { c.l2.banks = 128; },
+        [](SystemConfig &c) { c.l1.sizeBytes = 2ull << 20; },
+        [](SystemConfig &c) { c.l2.sizeBytes = 512ull << 20; },
+        [](SystemConfig &c) { c.l1.mshrs = 257; },
+        [](SystemConfig &c) { c.core.robEntries = 1025; },
+        [](SystemConfig &c) { c.core.loadQueueEntries = 1025; },
+        [](SystemConfig &c) { c.mem.transactionEntries = 1025; },
+        [](SystemConfig &c) { c.mem.writeEntries = 1025; },
+        [](SystemConfig &c) { c.l2.stateMachinesPerThread = 65; },
+        [](SystemConfig &c) { c.l2.sgbEntriesPerThread = 65; },
+        [](SystemConfig &c) { c.mem.ranksPerChannel = 65; },
+        [](SystemConfig &c) { c.mem.banksPerRank = 65; },
+        [](SystemConfig &c) { c.l1.prefetch.streams = 65; },
+        [](SystemConfig &c) {
+            c.l1PrefetchPerThread.assign(2, PrefetchConfig{});
+            c.l1PrefetchPerThread[1].streams = 65;
+        },
+    };
+    for (std::size_t i = 0; i < over.size(); ++i) {
+        SystemConfig cfg = twoThreadFcfs();
+        over[i](cfg);
+        EXPECT_TRUE(rejectedWith(cfg, "the cap")) << "case " << i;
+    }
+}
+
+TEST(SystemConfig, CapsAdmitTheLargestCommittedMachine)
+{
+    // bench_scaleup's 32 processors, 16 banks and 128 MiB L2.
+    SystemConfig cfg = makeScaledCmpConfig(32, ArbiterPolicy::Vpc);
+    EXPECT_EQ(cfg.l2.sizeBytes, 128ull << 20);
+    EXPECT_EQ(cfg.check(), "");
 }
 
 TEST(Types, LineAlignAndLog2)

@@ -17,8 +17,10 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <stdexcept>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include <unistd.h>
@@ -28,6 +30,8 @@
 #include "system/experiment.hh"
 #include "system/options.hh"
 #include "system/run_cache.hh"
+
+#include "config_fields.hh"
 
 namespace vpc
 {
@@ -102,26 +106,58 @@ TEST(RunDigest, NormalizesDefaultedShares)
     EXPECT_EQ(runDigest(expl), runDigest(defaulted));
 }
 
+TEST(RunDigest, LayoutIsPinned)
+{
+    // Literal digests.  If one changes, the digest layout changed:
+    // bump kRunCacheSchema, since existing cache directories would
+    // otherwise be read under keys that mean something else.
+    EXPECT_EQ(runDigest(vpcBaselineJob()), 17665032433375082574u);
+    EXPECT_EQ(runDigest(privateTargetJob()), 2691078472400056123u);
+    EXPECT_EQ(runDigest(nonDefaultJob()), 15514232355642169734u);
+    EXPECT_EQ(runDigest(scaledRowJob()), 17455043139092982660u);
+}
+
 TEST(RunDigest, ChangesUnderAnyResultAffectingPerturbation)
 {
     const RunJob base = smallJob();
     const std::uint64_t d = runDigest(base);
 
+    // forEachField visits every config member except profile and the
+    // two per-thread vectors, each once.  fieldNames() finds the
+    // members without the walk, so a member the walk skips is named.
+    RunJob probe = base;
+    std::vector<std::string> walked = walkedNames(probe.config);
+    std::set<std::string> unique(walked.begin(), walked.end());
+    EXPECT_EQ(unique.size(), walked.size()) << "a field is visited twice";
+    for (const auto &[addr, name] : fieldNames(probe.config)) {
+        bool skipped = name == "profile" || name == "shares" ||
+                       name == "l1PrefetchPerThread";
+        EXPECT_EQ(unique.count(name), skipped ? 0u : 1u)
+            << name << (skipped ? " is visited" : " is not visited");
+    }
+    std::size_t ints = 0, dbls = 0;
+    forEachField(probe.config, [&](const auto &v) {
+        bool dbl = std::is_same_v<std::decay_t<decltype(v)>, double>;
+        ++(dbl ? dbls : ints);
+    });
+    EXPECT_EQ(ints, 56u);
+    EXPECT_EQ(dbls, 2u);
+
+    // Each walked field, changed on its own, changes the key.
+    for (std::size_t i = 0; i < walked.size(); ++i) {
+        RunJob j = base;
+        perturbField(j, i);
+        ASSERT_EQ(j.config.check(), "") << walked[i];
+        EXPECT_NE(runDigest(j), d) << walked[i];
+    }
+
     RunJob j = base;
-    j.config.l2.ways /= 2;
-    EXPECT_NE(runDigest(j), d) << "l2 ways";
-
-    j = base;
-    j.config.arbiterPolicy = ArbiterPolicy::Vpc;
-    EXPECT_NE(runDigest(j), d) << "arbiter policy";
-
-    j = base;
     j.config.shares = {QosShare{0.6, 0.5}, QosShare{0.4, 0.5}};
     EXPECT_NE(runDigest(j), d) << "phi shares";
 
     j = base;
-    j.config.kernelSkip = false;
-    EXPECT_NE(runDigest(j), d) << "kernel mode (counters differ)";
+    j.config.l1PrefetchPerThread = {PrefetchConfig{}, PrefetchConfig{}};
+    EXPECT_NE(runDigest(j), d) << "per-thread prefetchers";
 
     j = base;
     j.workloads[0].spec = "idle";
